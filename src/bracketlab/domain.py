@@ -64,6 +64,12 @@ class Domain2:
             )
         return np.linspace(p0, p1, self.n), np.linspace(q0, q1, self.n)
 
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """The axes as broadcastable columns p (n,1) and rows q (1,n), so a
+        function of one variable is evaluated on n points, not n^2."""
+        p, q = self.axes()
+        return p[:, None], q[None, :]
+
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         p, q = self.axes()
         return np.meshgrid(p, q, indexing="ij")

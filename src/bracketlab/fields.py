@@ -32,7 +32,11 @@ class JetField:
         raise NotImplementedError
 
     def values(self, pts=None) -> np.ndarray:
-        return self.jet(0, pts).value
+        """Values as one full-shape C-contiguous array: a stride-0 broadcast
+        view would change the summation order of Domain2.integrate."""
+        v = self.jet(0, pts).value
+        shape = np.broadcast_shapes(*(np.shape(x) for x in _as_points(self, pts)))
+        return v if v.shape == shape else np.broadcast_to(v, shape).copy()
 
     def grid_values(self) -> np.ndarray:
         return self.values()
@@ -54,7 +58,7 @@ class JetField:
 
 def _as_points(field: JetField, pts):
     if pts is None:
-        return field.domain.grid()
+        return field.domain.coords()
     return pts
 
 
@@ -211,6 +215,7 @@ def trig_polynomial(domain: Domain2, coeffs: np.ndarray, phases_p=None, phases_q
     aq = np.zeros(L) if phases_q is None else np.asarray(phases_q, dtype=float)
 
     def build(jp: Jet2, jq: Jet2) -> Jet2:
+        sq = [jet_sin(jq.scale(l + 1.0) + aq[l]) for l in range(L)]
         out = None
         for k in range(K):
             sk = jet_sin(jp.scale(k + 1.0) + ap[k])
@@ -218,7 +223,7 @@ def trig_polynomial(domain: Domain2, coeffs: np.ndarray, phases_p=None, phases_q
                 c = coeffs[k, l]
                 if c == 0.0:
                     continue
-                term = (sk * jet_sin(jq.scale(l + 1.0) + aq[l])).scale(c)
+                term = (sk * sq[l]).scale(c)
                 out = term if out is None else out + term
         return out if out is not None else jp.scale(0.0)
 

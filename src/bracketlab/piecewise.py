@@ -157,7 +157,10 @@ class PiecewisePoly:
         return sum(p.integral() for p in self.pieces)
 
     def derivative(self) -> "PiecewisePoly":
-        return PiecewisePoly([p.derivative() for p in self.pieces])
+        # memoized: eval_derivs walks the derivative chain on every call
+        if not hasattr(self, "_derivative"):
+            self._derivative = PiecewisePoly([p.derivative() for p in self.pieces])
+        return self._derivative
 
     def antiderivative(self, start: Fraction = Fraction(0)) -> "PiecewisePoly":
         acc = Fraction(start)

@@ -20,7 +20,7 @@ from scipy.optimize import minimize
 
 from .jets import Jet2, jet_sin, poisson_jet
 from .errors import PreconditionError
-from .fields import JetField
+from .fields import JetField, _as_points, trig_polynomial
 from .functionals import psi as psi_functional
 
 REFERENCE_EXPONENTS = (1.0 / 3.0, 0.5, 2.0 / 3.0)
@@ -125,9 +125,7 @@ class _ModulatedPerturbation(JetField):
         self.provenance = base.provenance
 
     def jet(self, order: int, pts=None) -> Jet2:
-        if pts is None:
-            pts = self.domain.grid()
-        P, Q = pts
+        P, Q = _as_points(self, pts)
         b = self.base.jet(order, pts)
         uj = Jet2.from_univariate(self.u_fn(np.asarray(P, float), order), order, "p")
         aj = Jet2.from_univariate(self.a_fn(np.asarray(Q, float), order), order, "q")
@@ -167,53 +165,27 @@ class RandomFourierFamily:
     def _norm_bound(self, coeffs, phases) -> float:
         n = self.oversample
         t = np.arange(n) * (2 * np.pi / n)
-        P, Q = np.meshgrid(t, t, indexing="ij")
-        vals = _trig_values(coeffs, phases, P, Q)
+        vals = _trig_values(coeffs, phases, t[:, None], t[None, :])
         guard = np.cos(np.pi * self.modes / (2 * n)) ** 2
         return float(np.max(np.abs(vals))) / guard
 
     def member(self, F: JetField, G: JetField, eps: float, x: np.ndarray):
         index, frac = int(round(x[0])) % self.n_members, _clip_frac(x[1])
         cf, cg, phf, phg, nf, ng = self._sample(index)
-        Fp = _TrigPerturbation(F, cf, phf, frac * eps / nf)
-        Gp = _TrigPerturbation(G, cg, phg, frac * eps / ng)
+        Fp = F + trig_polynomial(F.domain, cf, phf[0], phf[1]) * (frac * eps / nf)
+        Gp = G + trig_polynomial(G.domain, cg, phg[0], phg[1]) * (frac * eps / ng)
         return Fp, Gp
 
 
-def _trig_values(coeffs, phases, P, Q):
-    out = np.zeros_like(P)
+def _trig_values(coeffs, phases, p, q):
+    # one-variable sin factors on broadcast axes p (n,1), q (1,n)
+    out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
     K = coeffs.shape[0]
     for k in range(K):
+        sp = np.sin((k + 1) * p + phases[0, k])
         for l in range(K):
-            out += coeffs[k, l] * np.sin((k + 1) * P + phases[0, k]) * np.sin(
-                (l + 1) * Q + phases[1, l]
-            )
+            out += coeffs[k, l] * sp * np.sin((l + 1) * q + phases[1, l])
     return out
-
-
-class _TrigPerturbation(JetField):
-    def __init__(self, base: JetField, coeffs, phases, amp):
-        self.base, self.coeffs, self.phases, self.amp = base, coeffs, phases, amp
-        self.domain = base.domain
-        self.max_order = base.max_order
-        self.provenance = base.provenance
-
-    def jet(self, order: int, pts=None) -> Jet2:
-        if pts is None:
-            pts = self.domain.grid()
-        jp = Jet2.variable_p(np.asarray(pts[0], float), order)
-        jq = Jet2.variable_q(np.asarray(pts[1], float), order)
-        b = self.base.jet(order, pts)
-        K = self.coeffs.shape[0]
-        pert = None
-        for k in range(K):
-            sk = jet_sin(jp.scale(k + 1.0) + self.phases[0, k])
-            for l in range(K):
-                term = (sk * jet_sin(jq.scale(l + 1.0) + self.phases[1, l])).scale(
-                    self.coeffs[k, l]
-                )
-                pert = term if pert is None else pert + term
-        return b + pert.scale(self.amp)
 
 
 # -- search -----------------------------------------------------------------------

@@ -70,18 +70,12 @@ def r_extrema(alpha: float, gamma: float) -> dict:
 def r_max_abs(alpha, gamma: float):
     """max_{z in [-1,1]} |r(alpha, gamma, z)|, vectorized over alpha."""
     alpha = np.asarray(alpha, dtype=float)
-    cand = np.maximum(np.abs(r_eval_batch(alpha, gamma, -1.0)), np.abs(r_eval_batch(alpha, gamma, 1.0)))
+    cand = np.maximum(np.abs(r_eval(alpha, gamma, -1.0)), np.abs(r_eval(alpha, gamma, 1.0)))
     z_crit = (gamma - 2.0 * alpha) / (2.0 * alpha**2)
     interior = np.abs(z_crit) <= 1.0
     z_clamped = np.clip(z_crit, -1.0, 1.0)
-    crit = np.abs(r_eval_batch(alpha, gamma, z_clamped))
+    crit = np.abs(r_eval(alpha, gamma, z_clamped))
     return np.where(interior, np.maximum(cand, crit), cand)
-
-
-def r_eval_batch(alpha, gamma: float, z):
-    alpha = np.asarray(alpha, dtype=float)
-    z = np.asarray(z, dtype=float)
-    return (alpha * z + 1.0) ** 2 - gamma * (alpha + z)
 
 
 def kappa_search(
@@ -570,11 +564,11 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
 
 
 def _grid_values_chunked(field: JetField, domain: Domain2, chunk: int = 128) -> np.ndarray:
-    P, Q = domain.grid()
-    out = np.empty_like(P)
-    for i0 in range(0, P.shape[0], chunk):
-        sl = slice(i0, min(i0 + chunk, P.shape[0]))
-        out[sl] = field.values((P[sl], Q[sl]))
+    # rows of p against all of q: a bracket tree's n^2 temporaries stay chunk x n
+    p, q = domain.coords()
+    out = np.empty((domain.n, domain.n))
+    for i0 in range(0, domain.n, chunk):
+        out[i0 : i0 + chunk] = field.values((p[i0 : i0 + chunk], q))
     return out
 
 
@@ -591,9 +585,9 @@ def r_field(
     R = fields.field_R(dom, N)
     vals = _grid_values_chunked(R, dom)
     amax = float(np.max(np.abs(vals)))
-    flat = int(np.argmax(np.abs(vals)))
-    P, Q = dom.grid()
-    worst_pt = (float(P.flat[flat]), float(Q.flat[flat]))
+    i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
+    p_axis, q_axis = dom.axes()
+    worst_pt = (float(p_axis[i]), float(q_axis[j]))
 
     q = _fine_axis(fields.w_prime)
     extra = _fine_axis(fields.a.left)

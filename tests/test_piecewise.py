@@ -58,6 +58,8 @@ def test_antiderivative_and_derivative_roundtrip():
     back = anti.derivative()
     x = np.linspace(0, 4, 500)
     assert np.max(np.abs(back(x) - prof(x))) < 1e-12
+    # the derivative is built once per profile and shared by every evaluation
+    assert anti.derivative() is back
 
 
 def test_eval_derivs_against_sympy():
