@@ -13,7 +13,7 @@ import numpy as np
 
 from .brackets import BracketField
 from .errors import PreconditionError
-from .fields import JetField, SampledField, ScaledField
+from .fields import JetField, SampledField, ScaledField, values_of
 from .functionals import DEFAULT_TOL_FLOW
 
 
@@ -67,16 +67,15 @@ def y_bound_check(
     """
     Fs = ScaledField(F, s)
     Gt = ScaledField(G, t)
+    P = BracketField(Fs, Gt)
+    g_vals, f_vals, d_g, d_f = values_of([Gt, Fs, BracketField(P, Gt), BracketField(P, Fs)])
     y = (
-        Gt.values()
-        + advect(Gt, Fs, 1.0, steps).grid_values()
-        - advect(Fs, Gt, -1.0, steps).grid_values()
-        - Fs.values()
+        g_vals
+        + advect(Gt, Fs, 1.0, steps).values()
+        - advect(Fs, Gt, -1.0, steps).values()
+        - f_vals
     )
     max_y = float(y.max())
-    P = BracketField(Fs, Gt)
-    bound = 0.5 * (
-        float(BracketField(P, Gt).values().max()) + float(BracketField(P, Fs).values().max())
-    )
+    bound = 0.5 * (float(d_g.max()) + float(d_f.max()))
     slack = bound - max_y
     return {"maxY": max_y, "bound": bound, "slack": slack, "pass": slack >= -tol}

@@ -9,37 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundsError, DomainMismatchError, PreconditionError
-from .fields import JetField
-from .jets import Jet2, poisson_jet
+from .errors import BoundsError, PreconditionError
+from .fields import DerivedField, JetField
+from .jets import poisson_jet
 
 MAX_BRACKET_LETTERS = 5  # order-4 jets support four derivative applications
 
 
-class BracketField(JetField):
+def BracketField(F: JetField, G: JetField) -> DerivedField:
     """{F, G} as a lazy jet field; consumes one jet order of each parent."""
-
-    def __init__(self, F: JetField, G: JetField):
-        if not F.domain.same_grid(G.domain):
-            raise DomainMismatchError("bracket operands live on different domains")
-        self.F, self.G = F, G
-        self.domain = F.domain
-        self.max_order = min(F.max_order, G.max_order) - 1
-        if self.max_order < 0:
-            raise BoundsError("operands do not carry enough jet orders for a bracket")
-        self.provenance = (
-            "analytic" if (F.provenance, G.provenance) == ("analytic", "analytic") else "sampled"
-        )
-
-    def jet(self, order: int, pts=None) -> Jet2:
-        if order > self.max_order:
-            raise BoundsError(
-                f"requested jet order {order} exceeds {self.max_order} available for this bracket"
-            )
-        return poisson_jet(self.F.jet(order + 1, pts), self.G.jet(order + 1, pts))
+    return DerivedField(poisson_jet, F, G, lowers=1)
 
 
-def poisson(F: JetField, G: JetField, jet_order_out: int = 0) -> BracketField:
+def poisson(F: JetField, G: JetField, jet_order_out: int = 0) -> DerivedField:
     """The Poisson bracket {F, G} exposing jets up to jet_order_out <= 3."""
     if jet_order_out > 3:
         raise BoundsError("a single bracket supports output jet order <= 3")

@@ -57,7 +57,7 @@ from .witness import (
     verify_oscillation_ratios,
 )
 
-COMMON_DEFAULTS = {"seed": 0, "threads": 0, "out_dir": None, "json": None, "csv": None}
+COMMON_DEFAULTS = {"seed": 0, "out_dir": None, "json": None, "csv": None}
 
 DEFAULTS: dict[str, dict] = {
     "bch": {"which": "3.2", "T": 5},
@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", help="JSON config file; flags override its values")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int, help="worker cap; never affects results")
         sp.add_argument("--out-dir", dest="out_dir", help="artifact directory "
                         "(default $BRACKETLAB_OUT or cwd)")
         sp.add_argument("--json", help="JSON artifact path")

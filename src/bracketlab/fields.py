@@ -3,14 +3,26 @@
 A JetField exposes the full jet of order <= 4 (value and all partials) at
 requested points.  Analytic fields build their jets by closed-form jet
 arithmetic and can be evaluated anywhere; sampled fields live on their
-grid and differentiate by 4th-order central differences.  Derived fields
-(brackets, products, sums) assemble jets from their parents, consuming
-jet orders as appropriate.
+grid and differentiate by 4th-order central differences.  Every other
+field is a DerivedField: a node computing its jet from its parents' jets,
+consuming ``lowers`` jet orders of each (one for a bracket, none for sums,
+products and maps).
+
+Field expressions are DAGs with shared nodes ({F,G} appears in every
+double bracket), and one evaluator walks them: ``evaluate`` and
+``values_of`` take all the roots a caller needs, give each node the
+highest jet order any consumer asks of it, compute its jet once at that
+order, and serve lower orders by truncation.  Truncation is exact: jet
+products and compositions accumulate each coefficient over a prefix of
+the same multi-index order, so a truncated jet equals the lower-order one
+bit for bit.  A node's jet is released once its last consumer has read
+it, so an evaluation holds only the jets still to be read.
 """
 
 from __future__ import annotations
 
 import csv as _csv
+import operator
 
 import numpy as np
 
@@ -22,24 +34,27 @@ MAX_JET_ORDER = 4
 
 
 class JetField:
-    """Base interface: domain, provenance tag, and jet evaluation."""
+    """Node interface: domain, provenance tag, the jet orders it supports,
+    and the parents whose jets ``_jet`` combines."""
 
     domain: Domain2
     provenance: str
     max_order: int
+    parents: tuple = ()
+    lowers = 0  # jet orders consumed from each parent
 
-    def jet(self, order: int, pts=None) -> Jet2:
+    def _jet(self, order: int, parent_jets: list, pts) -> Jet2:
         raise NotImplementedError
 
-    def values(self, pts=None) -> np.ndarray:
-        """Values as one full-shape C-contiguous array: a stride-0 broadcast
-        view would change the summation order of Domain2.integrate."""
-        v = self.jet(0, pts).value
-        shape = np.broadcast_shapes(*(np.shape(x) for x in _as_points(self, pts)))
-        return v if v.shape == shape else np.broadcast_to(v, shape).copy()
+    def jet(self, order: int, pts=None) -> Jet2:
+        return evaluate([(self, order)], pts)[0]
 
-    def grid_values(self) -> np.ndarray:
-        return self.values()
+    def values(self, pts=None) -> np.ndarray:
+        return values_of([self], pts)[0]
+
+    def map(self, fn) -> "DerivedField":
+        """The field whose jet is fn(jet of self)."""
+        return DerivedField(fn, self)
 
     # small field algebra, enough for cutoffs, sign flips and rescalings
     def __neg__(self):
@@ -47,19 +62,98 @@ class JetField:
 
     def __mul__(self, s):
         if isinstance(s, JetField):
-            return ProductField(self, s)
+            return DerivedField(operator.mul, self, s)
         return ScaledField(self, float(s))
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return SumField(self, other)
+        return DerivedField(operator.add, self, other)
 
 
-def _as_points(field: JetField, pts):
-    if pts is None:
-        return field.domain.coords()
-    return pts
+class DerivedField(JetField):
+    """fn(*parent jets) as a lazy jet field; with lowers=k it reads its
+    parents' jets k orders above its own."""
+
+    def __init__(self, fn, *parents: JetField, lowers: int = 0):
+        self.domain = parents[0].domain
+        for p in parents[1:]:
+            if not self.domain.same_grid(p.domain):
+                raise DomainMismatchError("operands live on different domains")
+        self.fn, self.parents, self.lowers = fn, parents, lowers
+        self.max_order = min([p.max_order for p in parents]) - lowers
+        if self.max_order < 0:
+            raise BoundsError("operands do not carry enough jet orders")
+        kinds = {p.provenance for p in parents}
+        self.provenance = kinds.pop() if len(kinds) == 1 else "sampled"
+
+    def _jet(self, order: int, parent_jets: list, pts) -> Jet2:
+        return self.fn(*parent_jets)
+
+
+def ScaledField(base: JetField, s: float) -> DerivedField:
+    s = float(s)
+    return DerivedField(lambda j: j.scale(s), base)
+
+
+def evaluate(requests, pts=None) -> list[Jet2]:
+    """Jets of the (field, order) requests at pts (default: the separable
+    grid coordinates), computing each node of their DAG once."""
+    topo: list[JetField] = []  # parents before consumers
+    need: dict[JetField, int] = {}  # the highest order any consumer asks
+    for node, order in requests:
+        _visit(node, need, topo)
+        need[node] = max(need[node], order)
+    asked = {node: need[node] for node, _ in requests}
+    last_use: dict[JetField, int] = {}  # index of each parent's last consumer
+    for i in range(len(topo) - 1, -1, -1):
+        node = topo[i]
+        order = need[node]
+        if order > node.max_order:
+            raise BoundsError(f"jet order {order} exceeds supported {node.max_order}")
+        for p in node.parents:
+            last_use.setdefault(p, i)
+            need[p] = max(need[p], order + node.lowers)
+
+    jets: dict[JetField, Jet2] = {}
+    out: dict[JetField, Jet2] = {}
+    for i, node in enumerate(topo):
+        order = need[node]
+        parent_jets = [_at_order(jets[p], order + node.lowers) for p in node.parents]
+        jet = node._jet(order, parent_jets, pts)
+        for p in node.parents:
+            if last_use[p] == i:
+                jets.pop(p, None)  # a parent may appear twice
+        if node in last_use:
+            jets[node] = jet
+        if node in asked:
+            out[node] = _at_order(jet, asked[node])
+    return [_at_order(out[node], order) for node, order in requests]
+
+
+def _visit(node: JetField, need: dict, topo: list) -> None:
+    if node not in need:
+        need[node] = 0
+        for p in node.parents:
+            _visit(p, need, topo)
+        topo.append(node)
+
+
+def _at_order(jet: Jet2, order: int) -> Jet2:
+    return jet if jet.order == order else jet.truncated(order)
+
+
+def values_of(fields, pts=None) -> list[np.ndarray]:
+    """Values of several fields from one evaluation, each as a full-shape
+    C-contiguous array: a stride-0 broadcast view would change the
+    summation order of Domain2.integrate."""
+    jets = evaluate([(f, 0) for f in fields], pts)
+    n = fields[0].domain.n
+    shape = (n, n) if pts is None else np.broadcast_shapes(*map(np.shape, pts))
+    return [
+        j.value if j.value.shape == shape else np.broadcast_to(j.value, shape).copy()
+        for j in jets
+    ]
 
 
 class AnalyticField(JetField):
@@ -76,13 +170,17 @@ class AnalyticField(JetField):
         self.provenance = "analytic"
         self.name = name
 
-    def jet(self, order: int, pts=None) -> Jet2:
-        if order > self.max_order:
-            raise BoundsError(f"jet order {order} exceeds supported {self.max_order}")
-        P, Q = _as_points(self, pts)
+    def _jet(self, order: int, parent_jets: list, pts) -> Jet2:
+        P, Q = self.domain.coords() if pts is None else pts
         jp = Jet2.variable_p(np.asarray(P, dtype=float), order)
         jq = Jet2.variable_q(np.asarray(Q, dtype=float), order)
         return self.builder(jp, jq)
+
+
+def univariate_jet(fn, jc: Jet2, axis: str) -> Jet2:
+    """Jet of f(p) (axis "p", jc the p coordinate jet) or of f(q), from
+    fn(x, m) giving the raw derivatives [f, f', ..., f^(m)] at x."""
+    return Jet2.from_univariate(fn(jc.value, jc.order), jc.order, axis)
 
 
 class SampledField(JetField):
@@ -131,11 +229,9 @@ class SampledField(JetField):
                 self._deriv_cache[key] = self._diff(self._derivative(i, j - 1), axis=1)
         return self._deriv_cache[key]
 
-    def jet(self, order: int, pts=None) -> Jet2:
+    def _jet(self, order: int, parent_jets: list, pts) -> Jet2:
         if pts is not None:
             raise PreconditionError("sampled fields evaluate on their own grid only")
-        if order > self.max_order:
-            raise BoundsError(f"jet order {order} exceeds supported {self.max_order}")
         from .jets import factorial
 
         coeffs = {}
@@ -144,43 +240,6 @@ class SampledField(JetField):
                 j = t - i
                 coeffs[(i, j)] = self._derivative(i, j) / (factorial(i) * factorial(j))
         return Jet2(order, coeffs)
-
-
-class ScaledField(JetField):
-    def __init__(self, base: JetField, s: float):
-        self.base, self.s = base, float(s)
-        self.domain = base.domain
-        self.max_order = base.max_order
-        self.provenance = base.provenance
-
-    def jet(self, order: int, pts=None) -> Jet2:
-        return self.base.jet(order, pts).scale(self.s)
-
-
-class SumField(JetField):
-    def __init__(self, a: JetField, b: JetField):
-        if not a.domain.same_grid(b.domain):
-            raise DomainMismatchError("summands live on different domains")
-        self.a, self.b = a, b
-        self.domain = a.domain
-        self.max_order = min(a.max_order, b.max_order)
-        self.provenance = a.provenance if a.provenance == b.provenance else "sampled"
-
-    def jet(self, order: int, pts=None) -> Jet2:
-        return self.a.jet(order, pts) + self.b.jet(order, pts)
-
-
-class ProductField(JetField):
-    def __init__(self, a: JetField, b: JetField):
-        if not a.domain.same_grid(b.domain):
-            raise DomainMismatchError("factors live on different domains")
-        self.a, self.b = a, b
-        self.domain = a.domain
-        self.max_order = min(a.max_order, b.max_order)
-        self.provenance = a.provenance if a.provenance == b.provenance else "sampled"
-
-    def jet(self, order: int, pts=None) -> Jet2:
-        return self.a.jet(order, pts) * self.b.jet(order, pts)
 
 
 # -- named analytic builders ---------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .brackets import BracketField, BracketWord, iterated_bracket
 from .errors import CheckFailed, PreconditionError
-from .fields import JetField, ScaledField
+from .fields import JetField, ScaledField, values_of
 
 DEFAULT_TOL_QUAD = 1e-6
 DEFAULT_TOL_FLOW = 1e-4
@@ -69,7 +69,7 @@ class FunctionalVector:
 def double_brackets(F: JetField, G: JetField) -> tuple[np.ndarray, np.ndarray]:
     """Grid values of {{F,G},F} and {{F,G},G}."""
     P = BracketField(F, G)
-    return BracketField(P, F).values(), BracketField(P, G).values()
+    return tuple(values_of([BracketField(P, F), BracketField(P, G)]))
 
 
 def phi_v(
@@ -103,13 +103,14 @@ def psi(F: JetField, G: JetField, positivity_tol: float = 1e-9) -> float:
     {p,q} = -1), so the assertion is skipped there.
     """
     P = BracketField(F, G)
-    term1 = BracketField(BracketField(P, F), F).values()
-    term2 = BracketField(BracketField(P, G), G).values()
+    term1, term2, pvals = values_of(
+        [BracketField(BracketField(P, F), F), BracketField(BracketField(P, G), G), P]
+    )
     val = float(np.max(np.abs(term1 + term2)))
     compact_setting = F.domain.kind == "torus" or F.domain.support_margin
     if (
         compact_setting
-        and float(np.max(np.abs(P.values()))) > positivity_tol
+        and float(np.max(np.abs(pvals))) > positivity_tol
         and not val > 0.0
     ):
         raise CheckFailed("degree-4 bracket combination vanished although {F,G} does not")
@@ -127,14 +128,14 @@ def oscillation(values: np.ndarray) -> float:
 def lh_check(F: JetField, G: JetField, tol: float | None = None) -> dict:
     """Landau-Hadamard bound for the double bracket:
     max{{F,G},F} >= ||{F,G}||^2 / (2 osc G), reported with its margin."""
-    gvals = G.values()
+    P = BracketField(F, G)
+    gvals, pvals, dvals = values_of([G, P, BracketField(P, F)])
     if float(np.max(np.abs(gvals))) == 0.0:
         raise PreconditionError("lh_check requires G not identically zero")
     if tol is None:
         tol = tol_disc(F.domain)
-    P = BracketField(F, G)
-    lhs = float(BracketField(P, F).values().max())
-    pnorm = float(np.max(np.abs(P.values())))
+    lhs = float(dvals.max())
+    pnorm = float(np.max(np.abs(pvals)))
     rhs = pnorm**2 / (2.0 * oscillation(gvals))
     margin = lhs - rhs
     return {"lhs": lhs, "rhs": rhs, "margin": margin, "pass": margin >= -tol}
@@ -190,12 +191,13 @@ def integral_identity_check(
 ) -> dict:
     """Integration-by-parts identity int {P,Q} R = int {R,P} Q."""
     dom = P.domain
-    lhs = dom.integrate(BracketField(P, Q).values() * R.values())
-    rhs = dom.integrate(BracketField(R, P).values() * Q.values())
+    pq, rvals, rp, qvals, pvals = values_of([BracketField(P, Q), R, BracketField(R, P), Q, P])
+    lhs = dom.integrate(pq * rvals)
+    rhs = dom.integrate(rp * qvals)
     scale = max(
         abs(lhs),
         abs(rhs),
-        float(np.max(np.abs(P.values()))) * float(np.max(np.abs(Q.values()))),
+        float(np.max(np.abs(pvals))) * float(np.max(np.abs(qvals))),
         1e-300,
     )
     rel_err = abs(lhs - rhs) / scale
@@ -209,9 +211,9 @@ def squared_bracket_identity_check(F: JetField, G: JetField, tol: float = DEFAUL
     P = BracketField(F, G)
     d1 = BracketField(P, F)
     d2 = BracketField(P, G)
-    I_vals = BracketField(d1, F).values() + BracketField(d2, G).values()
-    lhs = dom.integrate(I_vals * P.values())
-    rhs = -dom.integrate(d1.values() ** 2 + d2.values() ** 2)
+    i1, i2, pvals, v1, v2 = values_of([BracketField(d1, F), BracketField(d2, G), P, d1, d2])
+    lhs = dom.integrate((i1 + i2) * pvals)
+    rhs = -dom.integrate(v1**2 + v2**2)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     rel_err = abs(lhs - rhs) / scale
     return {"lhs": lhs, "rhs": rhs, "rel_err": rel_err, "pass": rel_err <= tol}

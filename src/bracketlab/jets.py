@@ -1,10 +1,11 @@
 """Truncated Taylor-jet arithmetic, vectorized over numpy arrays.
 
 A jet of order m at a batch of base points stores the Taylor coefficients
-f^(k)/k! (1-D) or d^{i+j} f / (dp^i dq^j) / (i! j!) (2-D) as arrays, one
-array per multi-index.  Sums, products, and univariate compositions are
-exact on the truncated polynomial ring, so iterated Poisson brackets of
-analytic fields are computed without differentiation noise.
+d^{i+j} f / (dp^i dq^j) / (i! j!) as arrays, one array per multi-index;
+a function of one variable is a jet along one axis (from_univariate).
+Sums, products, and univariate compositions are exact on the truncated
+polynomial ring, so iterated Poisson brackets of analytic fields are
+computed without differentiation noise.
 """
 
 from __future__ import annotations
@@ -17,109 +18,6 @@ def factorial(k: int) -> int:
     for i in range(2, k + 1):
         out *= i
     return out
-
-
-# -- 1-D jets -----------------------------------------------------------------
-
-
-class Jet1:
-    """Order-m 1-D jet with Taylor-normalized coefficient arrays."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: list):
-        if len(coeffs) != order + 1:
-            raise ValueError("need order+1 coefficient arrays")
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def variable(cls, values, order: int) -> "Jet1":
-        values = np.asarray(values, dtype=float)
-        coeffs = [values] + [np.zeros_like(values) for _ in range(order)]
-        if order >= 1:
-            coeffs[1] = np.ones_like(values)
-        return cls(order, coeffs)
-
-    @classmethod
-    def constant(cls, value, order: int) -> "Jet1":
-        value = np.asarray(value, dtype=float)
-        return cls(order, [value] + [np.zeros_like(value) for _ in range(order)])
-
-    @classmethod
-    def from_derivatives(cls, derivs: list, order: int) -> "Jet1":
-        """Build from raw derivative arrays [f, f', f'', ...]."""
-        coeffs = [np.asarray(derivs[k], dtype=float) / factorial(k) for k in range(order + 1)]
-        return cls(order, coeffs)
-
-    @property
-    def value(self):
-        return self.coeffs[0]
-
-    def derivative(self, k: int):
-        return self.coeffs[k] * factorial(k)
-
-    def __add__(self, other):
-        if isinstance(other, Jet1):
-            m = min(self.order, other.order)
-            return Jet1(m, [self.coeffs[k] + other.coeffs[k] for k in range(m + 1)])
-        out = list(self.coeffs)
-        out[0] = out[0] + other
-        return Jet1(self.order, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet1(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet1) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, s) -> "Jet1":
-        return Jet1(self.order, [c * s for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet1):
-            return self.scale(other)
-        m = min(self.order, other.order)
-        out = [None] * (m + 1)
-        for i in range(m + 1):
-            acc = 0.0
-            for k in range(i + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[i - k]
-            out[i] = acc
-        return Jet1(m, out)
-
-    __rmul__ = __mul__
-
-    def compose(self, outer_derivs: list) -> "Jet1":
-        """f o self, given raw derivatives of f at self.value."""
-        m = self.order
-        z = Jet1(m, [np.zeros_like(np.asarray(self.coeffs[0]))] + list(self.coeffs[1:]))
-        out = Jet1.constant(np.asarray(outer_derivs[0], dtype=float) + 0.0 * z.coeffs[0], m)
-        zk = None
-        for k in range(1, m + 1):
-            zk = z if zk is None else zk * z
-            out = out + zk.scale(np.asarray(outer_derivs[k], dtype=float) / factorial(k))
-        return out
-
-
-def jet1_log(u: Jet1) -> Jet1:
-    v = u.value
-    derivs = [np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4]
-    return u.compose(derivs[: u.order + 1])
-
-
-def jet1_reciprocal(u: Jet1) -> Jet1:
-    v = u.value
-    derivs = [1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4, 24.0 / v**5]
-    return u.compose(derivs[: u.order + 1])
-
-
-# -- 2-D jets -----------------------------------------------------------------
 
 
 def _triangle(order: int) -> list[tuple[int, int]]:
@@ -259,12 +157,17 @@ def _trig_derivs(u0, order: int, fn: str) -> list:
     return [cycle[k % 4] for k in range(order + 1)]
 
 
-def jet_sin(u: Jet2 | Jet1):
-    return u.compose(_trig_derivs(u.value if isinstance(u, Jet2) else u.coeffs[0], u.order, "sin"))
+def jet_sin(u: Jet2) -> Jet2:
+    return u.compose(_trig_derivs(u.value, u.order, "sin"))
 
 
-def jet_cos(u: Jet2 | Jet1):
-    return u.compose(_trig_derivs(u.value if isinstance(u, Jet2) else u.coeffs[0], u.order, "cos"))
+def jet_cos(u: Jet2) -> Jet2:
+    return u.compose(_trig_derivs(u.value, u.order, "cos"))
+
+
+def jet_log(u: Jet2) -> Jet2:
+    v = u.value
+    return u.compose([np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4][: u.order + 1])
 
 
 def jet_exp(u: Jet2) -> Jet2:

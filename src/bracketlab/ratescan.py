@@ -18,10 +18,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.optimize import minimize
 
-from .jets import Jet2, jet_sin, poisson_jet
+from .brackets import BracketField
+from .jets import jet_sin
 from .errors import PreconditionError
-from .fields import JetField, _as_points, trig_polynomial
-from .functionals import psi as psi_functional
+from .fields import AnalyticField, JetField, trig_polynomial, univariate_jet
+from .functionals import double_brackets, psi as psi_functional
 
 REFERENCE_EXPONENTS = (1.0 / 3.0, 0.5, 2.0 / 3.0)
 
@@ -30,14 +31,10 @@ REFERENCE_EXPONENTS = (1.0 / 3.0, 0.5, 2.0 / 3.0)
 
 
 def functional_value(which: str, F: JetField, G: JetField) -> float:
-    # evaluate each operand's jet once and assemble brackets directly
     if which == "maxFG":
-        return float(poisson_jet(F.jet(1), G.jet(1)).value.max())
+        return float(BracketField(F, G).values().max())
     if which == "double":
-        jF, jG = F.jet(2), G.jet(2)
-        P = poisson_jet(jF, jG)
-        d1 = poisson_jet(P, jF.truncated(1)).value
-        d2 = poisson_jet(P, jG.truncated(1)).value
+        d1, d2 = double_brackets(F, G)
         return float(d1.max()) + float(d2.max())
     raise PreconditionError(f"unknown functional {which!r} (use 'maxFG' or 'double')")
 
@@ -69,25 +66,11 @@ class OscillatoryFamily:
         lam = float(np.exp(np.clip(x[0], -50.0, 50.0)))
         pf, pg, frac = float(x[1]), float(x[2]), _clip_frac(x[3])
         amp = frac * eps
-        return (
-            _ComposedPerturbation(F, lam, pf, amp),
-            _ComposedPerturbation(G, lam, pg, amp),
-        )
 
+        def perturbed(X, phase):
+            return X.map(lambda b: b + jet_sin(b.scale(lam) + phase).scale(amp))
 
-class _ComposedPerturbation(JetField):
-    """base + amp * sin(lambda * base + phase) as a lazy jet field."""
-
-    def __init__(self, base: JetField, lam: float, phase: float, amp: float):
-        self.base = base
-        self.lam, self.phase, self.amp = lam, phase, amp
-        self.domain = base.domain
-        self.max_order = base.max_order
-        self.provenance = base.provenance
-
-    def jet(self, order: int, pts=None) -> Jet2:
-        b = self.base.jet(order, pts)
-        return b + jet_sin(b.scale(self.lam) + self.phase).scale(self.amp)
+        return perturbed(F, pf), perturbed(G, pg)
 
 
 class ModulatedFamily:
@@ -112,24 +95,9 @@ class ModulatedFamily:
         lam = float(np.exp(np.clip(x[0], -50.0, 50.0)))
         phase, frac = float(x[1]), _clip_frac(x[2])
         amp = frac * eps / self.a_norm
-        Fp = _ModulatedPerturbation(F, self.u_fn, self.a_fn, lam, phase, amp)
-        return Fp, G
-
-
-class _ModulatedPerturbation(JetField):
-    def __init__(self, base: JetField, u_fn, a_fn, lam, phase, amp):
-        self.base, self.u_fn, self.a_fn = base, u_fn, a_fn
-        self.lam, self.phase, self.amp = lam, phase, amp
-        self.domain = base.domain
-        self.max_order = base.max_order
-        self.provenance = base.provenance
-
-    def jet(self, order: int, pts=None) -> Jet2:
-        P, Q = _as_points(self, pts)
-        b = self.base.jet(order, pts)
-        uj = Jet2.from_univariate(self.u_fn(np.asarray(P, float), order), order, "p")
-        aj = Jet2.from_univariate(self.a_fn(np.asarray(Q, float), order), order, "q")
-        return b + (aj * jet_sin(uj.scale(self.lam) + self.phase)).scale(self.amp)
+        U = AnalyticField(F.domain, lambda jp, jq: univariate_jet(self.u_fn, jp, "p"))
+        A = AnalyticField(F.domain, lambda jp, jq: univariate_jet(self.a_fn, jq, "q"))
+        return F + (A * U.map(lambda b: jet_sin(b.scale(lam) + phase))) * amp, G
 
 
 class RandomFourierFamily:

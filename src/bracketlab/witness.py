@@ -29,8 +29,8 @@ import numpy as np
 from .brackets import BracketField
 from .domain import Domain2
 from .errors import CheckFailed, ConstructionError, PreconditionError
-from .fields import AnalyticField, JetField, ProductField
-from .jets import Jet1, Jet2, jet_cos, jet_sin, jet1_log
+from .fields import AnalyticField, JetField, univariate_jet, values_of
+from .jets import Jet2, jet_cos, jet_log, jet_sin
 from .piecewise import PiecewisePoly, build_profile, table_profile
 
 GAMMA = Fraction(163, 100)  # the fixed ratio -a' w / w' on [c1, c4]
@@ -315,11 +315,10 @@ class WitnessA:
         rmask = (x > c4) & (x <= c4 + float(self.cfg.taper_len))
         if core.any():
             xv = x[core]
-            wd = self.w.eval_derivs(xv, upto)
-            jw = Jet1.from_derivatives(wd, upto)
-            ja = jet1_log(jw).scale(-self.gamma) + (self.a0 + self.gamma * self.ln_w_c1)
+            jw = Jet2.from_univariate(self.w.eval_derivs(xv, upto), upto, "p")
+            ja = jet_log(jw).scale(-self.gamma) + (self.a0 + self.gamma * self.ln_w_c1)
             for k in range(upto + 1):
-                out[k][core] = ja.derivative(k)
+                out[k][core] = ja.derivative(k, 0)
         for mask, poly in ((lmask, self.left), (rmask, self.right)):
             if mask.any():
                 vals = poly.eval_derivs(x[mask], upto)
@@ -360,16 +359,14 @@ class WitnessFields:
 
     # -- fields ------------------------------------------------------------
 
-    def _uni(self, fn, jcoord: Jet2, axis: str) -> Jet2:
-        derivs = fn.eval_derivs(jcoord.value, jcoord.order)
-        return Jet2.from_univariate(derivs, jcoord.order, axis)
-
     def field_F(self, domain: Domain2) -> AnalyticField:
-        return AnalyticField(domain, lambda jp, jq: self._uni(self.u, jp, "p"), name="u(p)")
+        return AnalyticField(domain, lambda jp, jq: univariate_jet(self.u.eval_derivs, jp, "p"),
+                             name="u(p)")
 
     def field_G(self, domain: Domain2) -> AnalyticField:
         return AnalyticField(
-            domain, lambda jp, jq: self._uni(self.v, jq, "q").scale(-1.0), name="-v(q)"
+            domain, lambda jp, jq: univariate_jet(self.v.eval_derivs, jq, "q").scale(-1.0),
+            name="-v(q)",
         )
 
     def field_FN(self, domain: Domain2, N: int) -> AnalyticField:
@@ -377,8 +374,8 @@ class WitnessFields:
             raise PreconditionError("N must be >= 1")
 
         def build(jp: Jet2, jq: Jet2) -> Jet2:
-            uj = self._uni(self.u, jp, "p")
-            aj = self._uni(self.a, jq, "q")
+            uj = univariate_jet(self.u.eval_derivs, jp, "p")
+            aj = univariate_jet(self.a.eval_derivs, jq, "q")
             return uj + (aj * jet_sin(uj.scale(float(N)))).scale(1.0 / N)
 
         return AnalyticField(domain, build, name=f"F_{N}")
@@ -398,15 +395,16 @@ class WitnessFields:
             lead = aj * cN + 1.0
             return w1j * lead * lead + a1j * wj * (aj + cN)
 
-        return AnalyticField(domain, build, name=f"R (N={N})")
+        # R reads a' and w', so its order-m jet needs order m+1 of a, whose
+        # log core carries order 4
+        return AnalyticField(domain, build, max_order=3, name=f"R (N={N})")
 
-    def field_uprime_sq_R(self, domain: Domain2, N: int) -> ProductField:
-        up_sq = AnalyticField(
+    def field_uprime_sq(self, domain: Domain2) -> AnalyticField:
+        return AnalyticField(
             domain,
-            lambda jp, jq: (lambda j: j * j)(self._uni(self.u_prime, jp, "p")),
+            lambda jp, jq: (lambda j: j * j)(univariate_jet(self.u_prime.eval_derivs, jp, "p")),
             name="u'(p)^2",
         )
-        return ProductField(up_sq, self.field_R(domain, N))
 
     # -- serialization -------------------------------------------------------
 
@@ -563,12 +561,16 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
 # -- R bound and the main verification --------------------------------------------
 
 
-def _grid_values_chunked(field: JetField, domain: Domain2, chunk: int = 128) -> np.ndarray:
+def _grid_values_chunked(
+    fields: list[JetField], domain: Domain2, chunk: int = 128
+) -> list[np.ndarray]:
     # rows of p against all of q: a bracket tree's n^2 temporaries stay chunk x n
     p, q = domain.coords()
-    out = np.empty((domain.n, domain.n))
+    out = [np.empty((domain.n, domain.n)) for _ in fields]
     for i0 in range(0, domain.n, chunk):
-        out[i0 : i0 + chunk] = field.values((p[i0 : i0 + chunk], q))
+        for arr, vals in zip(out, values_of(fields, (p[i0 : i0 + chunk], q))):
+            arr[i0 : i0 + chunk] = vals
+        del vals  # else one chunk's values stay alive while the next is built
     return out
 
 
@@ -582,8 +584,13 @@ def r_field(
     (p, q) regardless of the oscillatory factor.
     """
     dom = fields.window_domain(n)
-    R = fields.field_R(dom, N)
-    vals = _grid_values_chunked(R, dom)
+    (vals,) = _grid_values_chunked([fields.field_R(dom, N)], dom)
+    return _r_report(fields, N, dom, vals, raise_on_violation)
+
+
+def _r_report(
+    fields: WitnessFields, N: int, dom: Domain2, vals: np.ndarray, raise_on_violation: bool
+) -> dict:
     amax = float(np.max(np.abs(vals)))
     i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
     p_axis, q_axis = dom.axes()
@@ -627,7 +634,7 @@ def verify_oscillation_ratios(
     dom = fields.window_domain(n)
     F = fields.field_F(dom)
     G = fields.field_G(dom)
-    D0 = _grid_values_chunked(BracketField(BracketField(F, G), F), dom)
+    (D0,) = _grid_values_chunked([BracketField(BracketField(F, G), F)], dom)
     d0_max, d0_min = float(D0.max()), float(D0.min())
     if d0_max <= 0 or d0_min >= 0:
         raise CheckFailed("unperturbed double bracket has degenerate extrema")
@@ -635,10 +642,13 @@ def verify_oscillation_ratios(
     rows = []
     for N in N_list:
         FN = fields.field_FN(dom, N)
-        DN = _grid_values_chunked(BracketField(BracketField(FN, G), FN), dom)
-        model = _grid_values_chunked(fields.field_uprime_sq_R(dom, N), dom)
+        (DN,) = _grid_values_chunked([BracketField(BracketField(FN, G), FN)], dom)
+        # one pass for u'^2 R and R; the R window is released before the residual
+        R = fields.field_R(dom, N)
+        model, rvals = _grid_values_chunked([fields.field_uprime_sq(dom) * R, R], dom)
+        rrep = _r_report(fields, N, dom, rvals, raise_on_violation=False)
+        del rvals
         resid = float(np.max(np.abs(DN - model)))
-        rrep = r_field(fields, N, n=n, raise_on_violation=False)
         ratio_max = float(DN.max()) / d0_max
         ratio_min = float(DN.min()) / d0_min
         rows.append(
@@ -726,22 +736,21 @@ def cutoff_witness(
         support_margin=False,
     )
 
-    def uni(fn, jc, axis):
-        return Jet2.from_univariate(fn.eval_derivs(jc.value, jc.order), jc.order, axis)
-
-    phi = AnalyticField(dom, lambda jp, jq: uni(phi_p, jp, "p") * uni(phi_q, jq, "q"), name="phi")
+    phi = AnalyticField(
+        dom,
+        lambda jp, jq: univariate_jet(phi_p.eval_derivs, jp, "p")
+        * univariate_jet(phi_q.eval_derivs, jq, "q"),
+        name="phi",
+    )
     F = fields.field_F(dom)
     G = fields.field_G(dom)
-    phiF = ProductField(phi, F)
-    phiG = ProductField(phi, G)
-
-    B_cut = BracketField(phiF, phiG).values()
-    B_ref = (phi.values() ** 2) * BracketField(F, G).values()
-    first_resid = float(np.max(np.abs(B_cut - B_ref)))
-
-    DBL_cut = BracketField(phiF, BracketField(phiF, phiG)).values()
-    DBL_ref = BracketField(F, BracketField(F, G)).values()
-    scaled_resid = float(np.max(np.abs(DBL_cut - phi.values() ** 3 * DBL_ref)))
+    phiF, phiG = phi * F, phi * G
+    B, B_phi = BracketField(F, G), BracketField(phiF, phiG)
+    B_cut, phi_vals, B_vals, DBL_cut, DBL_ref = values_of(
+        [B_phi, phi, B, BracketField(phiF, B_phi), BracketField(F, B)]
+    )
+    first_resid = float(np.max(np.abs(B_cut - (phi_vals**2) * B_vals)))
+    scaled_resid = float(np.max(np.abs(DBL_cut - phi_vals**3 * DBL_ref)))
     max_gap = abs(float(DBL_cut.max()) - float(DBL_ref.max()))
     min_gap = abs(float(DBL_cut.min()) - float(DBL_ref.min()))
 

@@ -11,12 +11,12 @@ from bracketlab.jets import jet_sin
 def test_zero_hamiltonian_is_identity(torus128):
     K = sin_p(torus128)
     out = advect(zero_field(torus128), K, 1.0, 8)
-    assert np.array_equal(out.grid_values(), K.values())
+    assert np.array_equal(out.values(), K.values())
 
 
 def test_zero_time_is_identity(torus128):
     out = advect(sin_p(torus128), sin_q(torus128), 0.0, 8)
-    assert np.allclose(out.grid_values(), sin_q(torus128).values(), atol=1e-15)
+    assert np.allclose(out.values(), sin_q(torus128).values(), atol=1e-15)
 
 
 def test_linear_flow_oracle():
@@ -30,7 +30,7 @@ def test_linear_flow_oracle():
     out = advect(H, K, t, 32)
     _, Q = dom.grid()
     assert out.provenance == "sampled"
-    assert np.max(np.abs(out.grid_values() - np.sin(Q + t))) < 1e-8
+    assert np.max(np.abs(out.values() - np.sin(Q + t))) < 1e-8
 
 
 def test_trajectory_escape_detected_on_support_rect():
@@ -59,9 +59,9 @@ def test_rk4_convergence(torus128):
     # a genuinely curved flow (sgrad depends on both coordinates)
     H = AnalyticField(torus128, lambda jp, jq: jet_sin(jp) * jet_sin(jq))
     K = sin_q(torus128)
-    ref = advect(H, K, 1.0, 512).grid_values()
-    e1 = np.max(np.abs(advect(H, K, 1.0, 8).grid_values() - ref))
-    e2 = np.max(np.abs(advect(H, K, 1.0, 16).grid_values() - ref))
+    ref = advect(H, K, 1.0, 512).values()
+    e1 = np.max(np.abs(advect(H, K, 1.0, 8).values() - ref))
+    e2 = np.max(np.abs(advect(H, K, 1.0, 16).values() - ref))
     assert e2 < e1 / 12  # ~16x for a 4th-order scheme
 
 

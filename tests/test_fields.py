@@ -128,7 +128,7 @@ def test_csv_roundtrip_torus(tmp_path):
     save_field_csv(vals, dom, path)
     back = load_field_csv(path)
     assert back.domain.same_grid(dom)
-    assert np.array_equal(back.grid_values(), vals)
+    assert np.array_equal(back.values(), vals)
 
 
 def test_csv_roundtrip_rect(tmp_path):
@@ -138,7 +138,7 @@ def test_csv_roundtrip_rect(tmp_path):
     save_field_csv(vals, dom, path)
     back = load_field_csv(path)
     assert back.domain.bounds == dom.bounds
-    assert np.array_equal(back.grid_values(), vals)
+    assert np.array_equal(back.values(), vals)
 
 
 def test_csv_bytes_stable(tmp_path):

@@ -25,7 +25,8 @@ from bracketlab.ratescan import (
 
 
 class Dense(JetField):
-    """A field evaluated on the explicit dense grid when no points are given."""
+    """A leaf evaluating its base field on the explicit dense grid when no
+    points are given."""
 
     def __init__(self, base: JetField):
         self.base = base
@@ -33,7 +34,7 @@ class Dense(JetField):
         self.max_order = base.max_order
         self.provenance = base.provenance
 
-    def jet(self, order, pts=None):
+    def _jet(self, order, parent_jets, pts):
         return self.base.jet(order, self.domain.grid() if pts is None else pts)
 
 
@@ -72,10 +73,10 @@ def test_witness_window(wf):
     FN, G = wf.field_FN(dom, N), wf.field_G(dom)
     D = BracketField(BracketField(FN, G), FN)
     D_dense = BracketField(BracketField(Dense(FN), Dense(G)), Dense(FN))
-    assert np.array_equal(witness._grid_values_chunked(D, dom), D_dense.values())
+    assert np.array_equal(witness._grid_values_chunked([D], dom)[0], D_dense.values())
     R = wf.field_R(dom, N)
     R_dense = Dense(R).values()
-    assert np.array_equal(witness._grid_values_chunked(R, dom), R_dense)
+    assert np.array_equal(witness._grid_values_chunked([R], dom)[0], R_dense)
     P, Q = dom.grid()
     flat = int(np.argmax(np.abs(R_dense)))
     rep = witness.r_field(wf, N, n=200, raise_on_violation=False)
