@@ -59,8 +59,8 @@ class BracketWord:
         return cls(tree)
 
     @classmethod
-    def ad_power(cls, N: int, operator: str = "F", operand: str = "G") -> "BracketWord":
-        """(ad_X)^N applied to the operand letter: {...{{Y,X},X}...,X}."""
+    def ad_power(cls, N: int, operator: object = "F", operand: object = "G") -> "BracketWord":
+        """(ad_X)^N Y = {...{{Y,X},X}...,X}; X and Y are letters or word trees."""
         tree: object = operand
         for _ in range(N):
             tree = (tree, operator)

@@ -29,6 +29,7 @@ import numpy as np
 from .domain import Domain2
 from .errors import BoundsError, DomainMismatchError, PreconditionError
 from .jets import Jet2, jet_sin
+from .reporting import write_csv
 
 MAX_JET_ORDER = 4
 
@@ -299,14 +300,14 @@ def _kind_string(domain: Domain2) -> str:
     return "rect:%.17g:%.17g:%.17g:%.17g" % (p0, p1, q0, q1)
 
 
+def field_table(values: np.ndarray, domain: Domain2) -> tuple[list[str], list]:
+    """CSV header and rows of a field matrix: 'n,h,kind', a metadata row, the values."""
+    meta = [domain.n, domain.spacing[0], _kind_string(domain)]
+    return ["n", "h", "kind"], [meta, *np.asarray(values, dtype=float)]
+
+
 def save_field_csv(values: np.ndarray, domain: Domain2, path) -> None:
-    """Row-major matrix with a 'n,h,kind' header line."""
-    values = np.asarray(values, dtype=float)
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        fh.write("n,h,kind\n")
-        fh.write("%d,%.17g,%s\n" % (domain.n, domain.spacing[0], _kind_string(domain)))
-        for row in values:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    write_csv(*field_table(values, domain), path)
 
 
 def load_field_csv(path) -> SampledField:

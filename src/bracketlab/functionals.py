@@ -18,6 +18,7 @@ from .fields import JetField, ScaledField, values_of
 
 DEFAULT_TOL_QUAD = 1e-6
 DEFAULT_TOL_FLOW = 1e-4
+DEFAULT_TOL_SYMMETRY = 1e-12
 
 
 def tol_disc(domain) -> float:
@@ -117,10 +118,6 @@ def psi(F: JetField, G: JetField, positivity_tol: float = 1e-9) -> float:
     return val
 
 
-def uniform_norm(field: JetField) -> float:
-    return float(np.max(np.abs(field.values())))
-
-
 def oscillation(values: np.ndarray) -> float:
     return float(values.max() - values.min())
 
@@ -160,28 +157,31 @@ def kolmogorov_ratio(
     are not pinned down numerically anywhere we can check, so only the
     ratio is reported.
     """
-    pnorm = float(np.max(np.abs(BracketField(F, G).values())))
-    if pnorm <= bracket_tol:
-        raise PreconditionError("kolmogorov_ratio requires {F,G} not identically zero")
-    fnorm, gnorm = uniform_norm(F), uniform_norm(G)
     if N is not None:
         if k is not None or m is not None:
             raise PreconditionError("give either N or (k, m), not both")
+        if N < 1:
+            raise PreconditionError(f"N must be >= 1, got {N}")
         word = BracketWord.ad_power(N, "F", "G")
-        osc = oscillation(iterated_bracket(word, F, G).values())
+    else:
+        if k is None or m is None:
+            raise PreconditionError("give N, or both k and m")
+        if k < 0 or m < 1:
+            raise PreconditionError(f"need k >= 0 and m >= 1, got k={k}, m={m}")
+        if (k + 1) * m > 4:
+            raise PreconditionError("(k+1)*m must be <= 4 for jet-exact evaluation")
+        word = BracketWord.ad_power(m, BracketWord.ad_power(k, "G", "F").tree, "G")
+    pvals, fvals, gvals, wvals = values_of(
+        [BracketField(F, G), F, G, iterated_bracket(word, F, G)]
+    )
+    pnorm = float(np.max(np.abs(pvals)))
+    if pnorm <= bracket_tol:
+        raise PreconditionError("kolmogorov_ratio requires {F,G} not identically zero")
+    fnorm, gnorm = float(np.max(np.abs(fvals))), float(np.max(np.abs(gvals)))
+    osc = oscillation(wvals)
+    if N is not None:
         ratio = osc * gnorm ** (N - 1) / pnorm**N
         return {"form": "adF^N G", "N": N, "osc_value": osc, "ratio": ratio}
-    if k is None or m is None:
-        raise PreconditionError("give N, or both k and m")
-    if (k + 1) * m > 4:
-        raise PreconditionError("(k+1)*m must be <= 4 for jet-exact evaluation")
-    inner: object = "F"
-    for _ in range(k):
-        inner = (inner, "G")
-    tree: object = "G"
-    for _ in range(m):
-        tree = (tree, inner)
-    osc = oscillation(iterated_bracket(BracketWord(tree), F, G).values())
     ratio = osc * fnorm ** (k * m) * gnorm ** (m - 1) / pnorm ** ((k + 1) * m)
     return {"form": "adH^m G", "k": k, "m": m, "osc_value": osc, "ratio": ratio}
 
@@ -234,7 +234,7 @@ def symmetry_check(
     F: JetField,
     G: JetField,
     element: str | tuple[float, float],
-    rel_tol: float = 1e-12,
+    rel_tol: float = DEFAULT_TOL_SYMMETRY,
 ) -> dict:
     """Dihedral and scaling identities of Phi^v, as same-grid evaluations.
 

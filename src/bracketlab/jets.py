@@ -34,11 +34,6 @@ class Jet2:
         self.coeffs = coeffs
 
     @classmethod
-    def zero_like(cls, template, order: int) -> "Jet2":
-        z = np.zeros_like(np.asarray(template, dtype=float))
-        return cls(order, {ij: z.copy() for ij in _triangle(order)})
-
-    @classmethod
     def constant(cls, value, order: int) -> "Jet2":
         value = np.asarray(value, dtype=float)
         out = {ij: np.zeros_like(value) for ij in _triangle(order)}

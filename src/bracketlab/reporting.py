@@ -64,7 +64,7 @@ def write_json(obj, path) -> None:
     _atomic_write(path, canonical_json(obj) + "\n")
 
 
-def csv_text(header: list[str], rows: list[list]) -> str:
+def write_csv(header: list[str], rows: list[list], path) -> None:
     def cell(v) -> str:
         if isinstance(v, (float, np.floating)):
             return _fmt_float(float(v))
@@ -72,8 +72,4 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
     lines = [",".join(header)]
     lines += [",".join(cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def write_csv(header: list[str], rows: list[list], path) -> None:
-    _atomic_write(path, csv_text(header, rows))
+    _atomic_write(path, "\n".join(lines) + "\n")

@@ -88,6 +88,8 @@ def kappa_search(
     """Largest half-width kappa (on a bisection grid) such that
     max_z |r(alpha, gamma, z)| < bound for every alpha in
     [alpha0 - kappa, alpha0 + kappa], swept at the given resolution."""
+    if not sweep_resolution > 0:
+        raise PreconditionError(f"sweep resolution must be positive, got {sweep_resolution}")
     at_center = float(r_max_abs(alpha0, gamma))
     if not at_center < bound < 1.0:
         raise PreconditionError(
@@ -113,17 +115,18 @@ def kappa_search(
     return lo
 
 
-def r_rectangle_scan(kappa: float, gamma: float = float(GAMMA), resolution: float = 1e-4) -> dict:
-    """Scan |r| over [alpha0-kappa, alpha0+kappa] x [-1, 1]."""
+def r_rectangle_scan(kappa: float, gamma: float = float(GAMMA), resolution: float = 1e-4,
+                     alpha0: float = float(ALPHA0), bound: float = R_BOUND) -> dict:
+    """Scan |r| over [alpha0-kappa, alpha0+kappa] x [-1, 1]; pass if max |r| < bound."""
     na = max(3, int(np.ceil(2 * kappa / resolution)) + 1)
     nz = int(np.ceil(2 / resolution)) + 1
-    alphas = np.linspace(float(ALPHA0) - kappa, float(ALPHA0) + kappa, na)
+    alphas = np.linspace(alpha0 - kappa, alpha0 + kappa, na)
     zs = np.linspace(-1.0, 1.0, nz)
     worst = 0.0
     for a in alphas:
         worst = max(worst, float(np.max(np.abs(r_eval(a, gamma, zs)))))
         worst = max(worst, float(r_max_abs(a, gamma)))
-    return {"max_abs_r": worst, "pass": worst < R_BOUND}
+    return {"max_abs_r": worst, "pass": worst < bound}
 
 
 # -- configuration -------------------------------------------------------------

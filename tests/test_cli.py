@@ -53,6 +53,15 @@ def test_lemma_r_defaults_pass(tmp_path):
     assert abs(ext["r_plus1"] - 0.987) < 1e-12
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", 1.0), ("--bound", 0.995)])
+def test_lemma_r_scans_the_rectangle_of_its_own_kappa(tmp_path, flag, value):
+    # kappa is searched around --alpha against --bound; the scan must use both
+    assert run_cli(["lemma-r", flag, str(value)], tmp_path) == 0
+    report = json.loads((tmp_path / "lemma-r.json").read_text())["report"]
+    assert report["rectangle_scan"]["pass"] is True
+    assert report["rectangle_scan"]["max_abs_r"] < report["bound"]
+
+
 def test_lh_check_zero_fields_exit_2(tmp_path):
     assert run_cli(["lh-check", "--fields", "zero,zero"], tmp_path) == 2
 
@@ -72,6 +81,55 @@ def test_config_file_merging_and_flag_priority(tmp_path):
     cfg = resolve_config(args)
     assert cfg.options["which"] == "3.3"  # from file
     assert cfg.options["T"] == 3  # flag wins
+
+
+def exit_status(args):
+    try:
+        return main(args)
+    except SystemExit as e:  # argparse rejected a flag
+        return e.code
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (["symmetry", "--v", "1,a,0,0"], None),
+        (["symmetry", "--v", "1,2"], None),
+        (["witness-verify", "--N-list", "100,x"], None),
+        (["witness-build", "--delta", "1/0"], None),
+        (["witness-build", "--delta", "abc"], None),
+        (["kolmogorov", "--k", "1", "--n", "32"], None),
+        (["kolmogorov", "--N", "0", "--n", "32"], None),
+        (["lemma-r", "--resolution", "0"], None),
+        (["lh-check"], {"seed": "x"}),
+        (["lh-check"], {"n": "abc"}),
+        (["lh-check"], {"n": 64.5}),
+        (["lh-check"], {"trials": True}),
+        (["bracket-eval"], {"fields": 5}),
+        (["integral-identity"], {"squares": "no"}),
+        (["bch"], {"which": "3.4"}),
+        (["bch"], [{"which": "3.2"}]),
+    ],
+    ids=["v-text", "v-length", "N-list-text", "delta-1/0", "delta-text", "k-without-m", "N-0",
+         "resolution-0", "cfg-seed", "cfg-n-text", "cfg-n-float", "cfg-trials-bool",
+         "cfg-fields-number", "cfg-squares-text", "cfg-which-choice", "cfg-list"],
+)
+def test_malformed_values_exit_2(tmp_path, capsys, args, config):
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg_file)]
+    assert exit_status(args + ["--out-dir", str(tmp_path)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / f"{args[0]}.json").exists()
+
+
+def test_config_values_are_converted_like_flags(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": "64", "alpha": 2, "element": "scale", "out_dir": None}))
+    cfg = resolve_config(build_parser().parse_args(["symmetry", "--config", str(cfg_file)]))
+    assert (cfg.options["n"], cfg.options["alpha"]) == (64, 2.0)
+    assert run_cli(["symmetry", "--config", str(cfg_file)], tmp_path) == 0
 
 
 def test_unknown_config_key_exit_2(tmp_path):

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from bracketlab import witness
-from bracketlab.brackets import BracketField
+from bracketlab.brackets import BracketField, BracketWord, iterated_bracket
 from bracketlab.domain import Domain2
 from bracketlab.errors import BoundsError
 from bracketlab.fields import AnalyticField, evaluate, trig_polynomial, values_of
-from bracketlab.functionals import lh_check
+from bracketlab.functionals import kolmogorov_ratio, lh_check, oscillation
 
 
 def counted(field: AnalyticField, orders: list) -> AnalyticField:
@@ -42,6 +42,24 @@ def test_lh_check_builds_each_leaf_once_at_order_two():
     F, G = counted(F0, f_orders), counted(G0, g_orders)
     assert lh_check(F, G) == lh_check(F0, G0)
     assert (f_orders, g_orders) == ([2], [2])
+
+
+@pytest.mark.parametrize("form, order", [({"N": 2}, 2), ({"k": 1, "m": 2}, 3)])
+def test_kolmogorov_ratio_builds_each_leaf_once(form, order):
+    dom = Domain2.torus(32)
+    F0, G0 = random_pair(dom, 5)
+    f_orders, g_orders = [], []
+    F, G = counted(F0, f_orders), counted(G0, g_orders)
+    assert kolmogorov_ratio(F, G, **form) == kolmogorov_ratio(F0, G0, **form)
+    assert (f_orders, g_orders) == ([order], [order])
+
+
+def test_kolmogorov_ratio_equals_separate_evaluations():
+    F, G = random_pair(Domain2.torus(32), 6)
+    pnorm = float(np.max(np.abs(BracketField(F, G).values())))
+    gnorm = float(np.max(np.abs(G.values())))
+    osc = oscillation(iterated_bracket(BracketWord.ad_power(2), F, G).values())
+    assert kolmogorov_ratio(F, G, N=2)["ratio"] == osc * gnorm / pnorm**2
 
 
 def test_shared_node_is_evaluated_once():

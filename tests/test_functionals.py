@@ -135,6 +135,9 @@ def test_kolmogorov_preconditions(torus128):
     F2, G2 = sin_p(torus128), sin_q(torus128)
     with pytest.raises(PreconditionError):
         kolmogorov_ratio(F2, G2, k=2, m=2)  # (k+1)m = 6 > 4
+    for bad in ({"N": 0}, {"k": -1, "m": 1}, {"k": 1, "m": 0}, {"k": 1}, {"N": 1, "m": 1}):
+        with pytest.raises(PreconditionError):
+            kolmogorov_ratio(F2, G2, **bad)
 
 
 def test_integral_identity(torus256):
