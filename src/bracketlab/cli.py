@@ -66,18 +66,22 @@ from .witness import (
 # -- option table -----------------------------------------------------------------
 
 
-def _converter(name: str, cast, *json_types):
+def _converter(name: str, cast, *json_types, ok=lambda x: True):
     """An option's converter: cast(value) for a flag's text or a config value
-    of one of json_types.  A bad value raises TypeError or ValueError, which
-    argparse reports as a usage error naming the converter."""
+    of one of json_types, refused unless ok(cast(value)).  A bad value raises
+    TypeError or ValueError, which argparse reports as a usage error naming
+    the converter."""
 
     def convert(value):
         if type(value) not in json_types:
             raise TypeError(value)
         try:
-            return cast(value)
+            out = cast(value)
         except ZeroDivisionError as e:  # Fraction("1/0")
             raise ValueError(value) from e
+        if not ok(out):
+            raise ValueError(value)
+        return out
 
     convert.__name__ = name
     return convert
@@ -100,7 +104,9 @@ def _kept_text(parse):
 
 text = _converter("text", str, str)
 integer = _converter("integer", int, str, int)
+count = _converter("count", int, str, int, ok=lambda x: x >= 0)
 number = _converter("number", float, str, int, float)
+positive = _converter("positive number", float, str, int, float, ok=lambda x: 0 < x < np.inf)
 switch = _converter("switch", bool, bool)
 fraction = _converter("fraction", _kept_text(Fraction), str)
 int_list = _converter("integer list", _kept_text(lambda s: _split(s, int)), str)
@@ -294,10 +300,9 @@ def cmd_lemma_r(o: dict):
 
 
 @command("witness-build", "construct the counterexample profiles and certify them",
-         delta=Option("1/20", fraction, "spacing of the c_i, as an exact fraction like 1/20"),
-         grid_n=Option(2048, integer, "window grid points per axis"))
+         delta=Option("1/20", fraction, "spacing of the c_i, as an exact fraction like 1/20"))
 def cmd_witness_build(o: dict):
-    fields = build_witness(WitnessConfig(delta=Fraction(o["delta"]), grid_n=o["grid_n"]))
+    fields = build_witness(WitnessConfig(delta=Fraction(o["delta"])))
     return fields.to_json(), True, None
 
 
@@ -316,7 +321,7 @@ def cmd_witness_verify(o: dict):
 
 @command("lh-check", "Landau-Hadamard inequality for the double bracket",
          fields=FIELD_PAIR, n=GRID_256,
-         trials=Option(0, integer, "additional random trig-polynomial pairs"))
+         trials=Option(0, count, "additional random trig-polynomial pairs"))
 def cmd_lh_check(o: dict):
     F, G = resolve_pair(o["fields"], o["n"])
     results = [lh_check(F, G)]
@@ -397,8 +402,8 @@ def cmd_symmetry(o: dict):
 @command("rate-scan", "perturbation search, decreases, and power-law fit",
          which=Option("maxFG", text, "functional to perturb", choices=("maxFG", "double")),
          n=GRID_256,
-         eps_min=Option(1e-4, number, "smallest perturbation size"),
-         eps_max=Option(1e-1, number, "largest perturbation size"),
+         eps_min=Option(1e-4, positive, "smallest perturbation size"),
+         eps_max=Option(1e-1, positive, "largest perturbation size"),
          eps_count=Option(10, integer, "log-spaced perturbation sizes"),
          budget=Option(200, integer, "function evaluations per search"))
 def cmd_rate_scan(o: dict):

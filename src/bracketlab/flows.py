@@ -145,19 +145,6 @@ class LieSeries:
     def scale(self, s: Scalar) -> "LieSeries":
         return LieSeries([c.scale(s) for c in self.coeffs], self.truncation)
 
-    def series_bracket(self, other: "LieSeries", max_degree: int) -> "LieSeries":
-        """Cauchy product in tau with the Lie bracket on coefficients."""
-        T = min(self.truncation, other.truncation)
-        out = [LiePoly.zero(max_degree) for _ in range(T + 1)]
-        for i in range(T + 1):
-            if self.coeffs[i].is_zero():
-                continue
-            for j in range(T + 1 - i):
-                if other.coeffs[j].is_zero():
-                    continue
-                out[i + j] = out[i + j] + bracket(self.coeffs[i], other.coeffs[j], max_degree)
-        return LieSeries(out, T)
-
     def differentiated(self) -> "LieSeries":
         """d/dtau, truncation drops by one."""
         if self.truncation == 0:

@@ -1,11 +1,14 @@
 """Truncated Taylor-jet arithmetic, vectorized over numpy arrays.
 
 A jet of order m at a batch of base points stores the Taylor coefficients
-d^{i+j} f / (dp^i dq^j) / (i! j!) as arrays, one array per multi-index;
-a function of one variable is a jet along one axis (from_univariate).
-Sums, products, and univariate compositions are exact on the truncated
-polynomial ring, so iterated Poisson brackets of analytic fields are
-computed without differentiation noise.
+d^{i+j} f / (dp^i dq^j) / (i! j!) as arrays, one array per multi-index the
+jet can have; a function of one variable is a jet along one axis
+(from_univariate).  A missing multi-index is a structural zero that sums
+and products skip, so a term x * 0 is never added: nonzero coefficients are
+unchanged by that, but an exact zero may read -0 where adding +0 would
+have made it 0.  Sums, products, and univariate compositions are exact on
+the truncated polynomial ring, so iterated Poisson brackets of analytic
+fields are computed without differentiation noise.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ def _triangle(order: int) -> list[tuple[int, int]]:
 
 
 class Jet2:
-    """Order-m 2-D jet; coeffs maps (i, j) with i+j <= m to arrays."""
+    """Order-m 2-D jet; coeffs maps (i, j) with i+j <= m to arrays, always
+    holding the value (0, 0); a missing key is a structural zero."""
 
     __slots__ = ("order", "coeffs")
 
@@ -34,38 +38,20 @@ class Jet2:
         self.coeffs = coeffs
 
     @classmethod
-    def constant(cls, value, order: int) -> "Jet2":
-        value = np.asarray(value, dtype=float)
-        out = {ij: np.zeros_like(value) for ij in _triangle(order)}
-        out[(0, 0)] = value
-        return cls(order, out)
-
-    @classmethod
     def variable_p(cls, values, order: int) -> "Jet2":
-        out = cls.constant(values, order)
-        if order >= 1:
-            out.coeffs[(1, 0)] = np.ones_like(out.coeffs[(0, 0)])
-        return out
+        return cls.from_univariate([values, np.ones_like(values, dtype=float)], order, "p")
 
     @classmethod
     def variable_q(cls, values, order: int) -> "Jet2":
-        out = cls.constant(values, order)
-        if order >= 1:
-            out.coeffs[(0, 1)] = np.ones_like(out.coeffs[(0, 0)])
-        return out
+        return cls.from_univariate([values, np.ones_like(values, dtype=float)], order, "q")
 
     @classmethod
     def from_univariate(cls, derivs: list, order: int, axis: str) -> "Jet2":
         """Promote 1-D raw derivatives of f(p) (axis='p') or f(q) to 2-D."""
-        coeffs = {}
-        for i, j in _triangle(order):
-            k = i if axis == "p" else j
-            other = j if axis == "p" else i
-            if other == 0 and k < len(derivs):
-                coeffs[(i, j)] = np.asarray(derivs[k], dtype=float) / factorial(k)
-            else:
-                coeffs[(i, j)] = np.zeros_like(np.asarray(derivs[0], dtype=float))
-        return cls(order, coeffs)
+        return cls(order, {
+            ((k, 0) if axis == "p" else (0, k)): np.asarray(derivs[k], dtype=float) / factorial(k)
+            for k in range(min(order + 1, len(derivs)))
+        })
 
     @property
     def value(self):
@@ -73,26 +59,36 @@ class Jet2:
 
     def derivative(self, i: int, j: int):
         """Raw partial derivative d^{i+j} f / dp^i dq^j."""
-        return self.coeffs[(i, j)] * (factorial(i) * factorial(j))
+        if i + j > self.order:
+            raise ValueError("derivative beyond the jet order")
+        c = self.coeffs.get((i, j))
+        return np.zeros_like(self.value) if c is None else c * (factorial(i) * factorial(j))
 
     def truncated(self, order: int) -> "Jet2":
         if order > self.order:
             raise ValueError("cannot extend a jet")
-        return Jet2(order, {ij: self.coeffs[ij] for ij in _triangle(order)})
+        return Jet2(order, {ij: c for ij, c in self.coeffs.items() if sum(ij) <= order})
 
     def dp(self) -> "Jet2":
-        m = self.order - 1
-        return Jet2(m, {(i, j): (i + 1) * self.coeffs[(i + 1, j)] for i, j in _triangle(m)})
+        return self._lowered({(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i})
 
     def dq(self) -> "Jet2":
-        m = self.order - 1
-        return Jet2(m, {(i, j): (j + 1) * self.coeffs[(i, j + 1)] for i, j in _triangle(m)})
+        return self._lowered({(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j})
+
+    def _lowered(self, coeffs: dict) -> "Jet2":
+        if (0, 0) not in coeffs:
+            coeffs[(0, 0)] = np.zeros_like(self.value)
+        return Jet2(self.order - 1, coeffs)
 
     def __add__(self, other):
         if isinstance(other, Jet2):
             m = min(self.order, other.order)
-            return Jet2(m, {ij: self.coeffs[ij] + other.coeffs[ij] for ij in _triangle(m)})
-        out = {ij: c for ij, c in self.coeffs.items()}
+            out = {ij: c for ij, c in self.coeffs.items() if sum(ij) <= m}
+            for ij, c in other.coeffs.items():
+                if sum(ij) <= m:
+                    out[ij] = out[ij] + c if ij in out else c
+            return Jet2(m, out)
+        out = dict(self.coeffs)
         out[(0, 0)] = out[(0, 0)] + other
         return Jet2(self.order, out)
 
@@ -116,17 +112,7 @@ class Jet2:
         if not isinstance(other, Jet2):
             return self.scale(other)
         m = min(self.order, other.order)
-        keys = _triangle(m)
-        out = {ij: None for ij in keys}
-        for i1, j1 in keys:
-            a = self.coeffs[(i1, j1)]
-            for i2, j2 in keys:
-                if i1 + i2 + j1 + j2 > m:
-                    continue
-                ij = (i1 + i2, j1 + j2)
-                term = a * other.coeffs[(i2, j2)]
-                out[ij] = term if out[ij] is None else out[ij] + term
-        return Jet2(m, out)
+        return Jet2(m, _product(self.coeffs, other.coeffs, m))
 
     __rmul__ = __mul__
 
@@ -134,16 +120,32 @@ class Jet2:
         """f o self, given raw derivatives [f(u0), f'(u0), ...] at the
         value array u0; exact on the truncated ring."""
         m = self.order
-        z = Jet2(m, dict(self.coeffs))
-        z.coeffs[(0, 0)] = np.zeros_like(np.asarray(self.coeffs[(0, 0)]))
-        out = Jet2.constant(
-            np.asarray(outer_derivs[0], dtype=float) + 0.0 * self.coeffs[(0, 0)], m
-        )
-        zk = None
+        z = {ij: c for ij, c in self.coeffs.items() if ij != (0, 0)}  # self - u0
+        out = {(0, 0): np.asarray(outer_derivs[0], dtype=float)}
+        zk = z
         for k in range(1, m + 1):
-            zk = z if zk is None else zk * z
-            out = out + zk.scale(np.asarray(outer_derivs[k], dtype=float) / factorial(k))
-        return out
+            if k > 1:
+                zk = _product(zk, z, m)
+            s = np.asarray(outer_derivs[k], dtype=float) / factorial(k)
+            for ij, c in zk.items():
+                out[ij] = out[ij] + c * s if ij in out else c * s
+        return Jet2(m, out)
+
+
+def _product(a: dict, b: dict, m: int) -> dict:
+    """Coefficients of the order-m product of two coefficient dicts.  Each
+    coefficient sums its terms in _triangle order of a's multi-indices, so
+    a truncated product equals the lower-order one bit for bit."""
+    out = {}
+    for i1, j1 in _triangle(m):
+        x = a.get((i1, j1))
+        if x is None:
+            continue
+        for (i2, j2), y in b.items():
+            if i1 + i2 + j1 + j2 <= m:
+                ij = (i1 + i2, j1 + j2)
+                out[ij] = out[ij] + x * y if ij in out else x * y
+    return out
 
 
 def _trig_derivs(u0, order: int, fn: str) -> list:

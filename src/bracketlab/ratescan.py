@@ -330,6 +330,8 @@ def rate_report(
     if len(eps_grid) >= 2 and max(eps_grid) / min(eps_grid) < 100.0:
         raise PreconditionError("eps grid should span at least two decades")
     psi_val = psi_value if psi_value is not None else psi_functional(F, G)
+    # built once: a family caches its members, which depend on (seed, index) only
+    families = families if families is not None else default_families(seed)
     rows = []
     for eps in sorted(eps_grid):
         r = phi_bar_upper(F, G, eps, which=which, families=families, budget=budget, seed=seed)

@@ -109,10 +109,18 @@ def exit_status(args):
         (["integral-identity"], {"squares": "no"}),
         (["bch"], {"which": "3.4"}),
         (["bch"], [{"which": "3.2"}]),
+        (["witness-build", "--grid-n", "2"], None),
+        (["lh-check", "--trials", "-3", "--n", "32"], None),
+        (["lh-check"], {"trials": -3}),
+        (["rate-scan", "--eps-min", "0"], None),
+        (["rate-scan", "--eps-max", "-1"], None),
+        (["rate-scan"], {"eps_min": 0}),
     ],
     ids=["v-text", "v-length", "N-list-text", "delta-1/0", "delta-text", "k-without-m", "N-0",
          "resolution-0", "cfg-seed", "cfg-n-text", "cfg-n-float", "cfg-trials-bool",
-         "cfg-fields-number", "cfg-squares-text", "cfg-which-choice", "cfg-list"],
+         "cfg-fields-number", "cfg-squares-text", "cfg-which-choice", "cfg-list",
+         "witness-build-grid-n", "trials-negative", "cfg-trials-negative", "eps-min-0",
+         "eps-max-negative", "cfg-eps-min-0"],
 )
 def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     if config is not None:
@@ -122,6 +130,16 @@ def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     assert exit_status(args + ["--out-dir", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
     assert not (tmp_path / f"{args[0]}.json").exists()
+
+
+@pytest.mark.parametrize("args, named", [
+    (["lh-check", "--trials", "-3"], "--trials"),
+    (["rate-scan", "--eps-min", "0"], "--eps-min"),
+    (["rate-scan", "--eps-max", "-1"], "--eps-max"),
+])
+def test_out_of_range_value_names_its_option(tmp_path, capsys, args, named):
+    assert exit_status(args + ["--out-dir", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_config_values_are_converted_like_flags(tmp_path):
@@ -200,7 +218,7 @@ def test_witness_verify_small(tmp_path):
 
 
 def test_witness_build_artifact(tmp_path):
-    assert run_cli(["witness-build", "--grid-n", "512"], tmp_path) == 0
+    assert run_cli(["witness-build"], tmp_path) == 0
     payload = json.loads((tmp_path / "witness-build.json").read_text())
     rep = payload["report"]
     assert "w_prime" in rep and "u_prime" in rep and rep["config"]["kappa"] > 0

@@ -178,19 +178,6 @@ def test_zero_series_api():
     assert (z + s) == s
 
 
-def test_series_bracket_cauchy_rule():
-    # bracket of series: tau-Cauchy product with the Lie bracket
-    md = 5
-    a = path_generator(Product((f_tau(), g_tau())), 3)
-    b = path_generator(Product((g_tau(), f_tau())), 3)
-    br = a.series_bracket(b, md)
-    for k in range(4):
-        expected = LiePoly.zero(md)
-        for i in range(k + 1):
-            expected = expected + bracket(a.coefficient(i), b.coefficient(k - i), md)
-        assert br.coefficient(k) == expected
-
-
 def test_witness_verify_single_N_alias():
     from bracketlab.cli import build_parser, resolve_config
 

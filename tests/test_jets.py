@@ -6,6 +6,7 @@ from oracles import P_SYM, Q_SYM, sym_grid_values
 
 from bracketlab.jets import (
     Jet2,
+    factorial,
     jet_cos,
     jet_exp,
     jet_log,
@@ -90,3 +91,86 @@ def test_from_univariate_promotion():
     assert np.allclose(j.derivative(0, 1), np.cos(x))
     assert np.allclose(j.derivative(1, 0), 0.0)
     assert np.allclose(j.derivative(0, 2), -np.sin(x))
+
+
+# -- sparse coefficient dicts: a missing multi-index is a structural zero ---------
+
+P_COL = np.linspace(-1.0, 2.0, 5)[:, None]
+Q_ROW = np.linspace(0.5, 3.0, 4)[None, :]
+FULL = (5, 4)
+KEYS4 = [(i, t - i) for t in range(5) for i in range(t + 1)]
+
+
+def _sparse_jets():
+    rng = np.random.default_rng(3)
+    p_only = {(0, 0): np.sin(P_COL), (1, 0): np.cos(P_COL), (2, 0): -np.sin(P_COL) / 2}
+    q_only = {(0, k): np.exp(Q_ROW) / factorial(k) for k in range(5)}
+    return {
+        "p-only": Jet2(4, p_only),
+        "q-only": Jet2(4, q_only),
+        "p": Jet2(4, {(0, 0): P_COL, (1, 0): np.ones(P_COL.shape)}),
+        "q": Jet2(4, {(0, 0): Q_ROW, (0, 1): np.ones(Q_ROW.shape)}),
+        "full": Jet2(4, {ij: rng.normal(size=FULL) for ij in KEYS4}),
+    }
+
+
+def _zero_filled(j):
+    return Jet2(j.order, {ij: j.coeffs.get(ij, np.zeros_like(j.value))
+                          for ij in KEYS4 if sum(ij) <= j.order})
+
+
+def _assert_same_jet(sparse, dense, where):
+    assert sparse.order == dense.order, where
+    assert isinstance(sparse.coeffs[(0, 0)], np.ndarray), where
+    assert sparse.value.shape == dense.value.shape, where
+    assert set(sparse.coeffs) <= set(dense.coeffs), where
+    for ij, want in dense.coeffs.items():
+        got = sparse.coeffs.get(ij, np.zeros_like(sparse.value))
+        assert np.array_equal(np.broadcast_to(got, FULL), np.broadcast_to(want, FULL)), (where, ij)
+
+
+UNARY = {
+    "neg": lambda a: -a,
+    "scale": lambda a: a.scale(-1.5),
+    "dp": lambda a: a.dp(),
+    "dq": lambda a: a.dq(),
+    "truncated": lambda a: a.truncated(2),
+    "sin": jet_sin,
+    "plus-scalar": lambda a: a + 0.25,
+}
+BINARY = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "poisson": poisson_jet,
+    "mixed-orders": lambda a, b: a * b.truncated(3) + a.truncated(2),
+}
+
+
+@pytest.mark.parametrize("op", UNARY)
+def test_sparse_jet_unary_ops_match_zero_filled(op):
+    for name, j in _sparse_jets().items():
+        _assert_same_jet(UNARY[op](j), UNARY[op](_zero_filled(j)), name)
+
+
+@pytest.mark.parametrize("op", BINARY)
+def test_sparse_jet_binary_ops_match_zero_filled(op):
+    jets = _sparse_jets()
+    for pair in [("p-only", "q-only"), ("q-only", "p-only"), ("p", "q"), ("p-only", "p"),
+                 ("full", "q-only"), ("p", "full")]:
+        a, b = (jets[k] for k in pair)
+        _assert_same_jet(BINARY[op](a, b), BINARY[op](_zero_filled(a), _zero_filled(b)), pair)
+
+
+def test_jets_store_only_the_coefficients_they_have():
+    P = P_COL  # a (5, 1) column
+    assert set(Jet2.variable_p(P, 4).coeffs) == {(0, 0), (1, 0)}
+    assert set(Jet2.variable_q(Q_ROW, 4).coeffs) == {(0, 0), (0, 1)}
+    j = Jet2.from_univariate([np.sin(P), np.cos(P), -np.sin(P)], 4, "p")
+    assert set(j.coeffs) == {(0, 0), (1, 0), (2, 0)}
+    assert set(jet_sin(Jet2.variable_p(P, 4)).coeffs) == {(k, 0) for k in range(5)}
+    dq = j.dq()
+    assert set(dq.coeffs) == {(0, 0)} and np.array_equal(dq.value, np.zeros(P.shape))
+    assert np.array_equal(j.derivative(1, 2), np.zeros(P.shape))
+    with pytest.raises(ValueError):
+        j.derivative(3, 2)

@@ -131,6 +131,16 @@ def test_rate_report_maxfg_checks(pair):
     assert rep.metadata["one_sided"].startswith("every best value")
 
 
+def test_rate_report_builds_the_families_once(monkeypatch):
+    # each member's two norm bounds are computed once, not once per eps
+    calls = []
+    monkeypatch.setattr(RandomFourierFamily, "_norm_bound", lambda self, c, p: calls.append(1) or 1.0)
+    dom = Domain2.torus(32)
+    n_sweep = len(OscillatoryFamily().sweep(1e-2)) + RandomFourierFamily(0).n_members
+    rate_report(sin_p(dom), sin_q(dom), [1e-3, 1e-2, 1e-1], budget=n_sweep, seed=0)
+    assert len(calls) == 2 * RandomFourierFamily(0).n_members
+
+
 def test_rate_report_commuting_pair_flags_psi_zero():
     dom = Domain2.torus(128)
     F = sin_p(dom)
