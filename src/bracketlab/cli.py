@@ -311,8 +311,8 @@ def cmd_witness_build(o: dict):
                        flags=("--N-list", "--N")),
          grid_n=Option(2048, integer, "window grid points per axis", flags=("--grid-n", "--n")))
 def cmd_witness_verify(o: dict):
-    fields = build_witness(WitnessConfig(grid_n=o["grid_n"]))
-    out = verify_oscillation_ratios(fields, N_list=_split(o["N_list"], int))
+    fields = build_witness()
+    out = verify_oscillation_ratios(fields, _split(o["N_list"], int), o["grid_n"])
     out["cutoff"] = cut = cutoff_witness(fields)
     header = ["N", "ratio_max", "ratio_min", "residual", "maxR"]
     rows = [[r[k] for k in header] for r in out["rows"]]
@@ -404,7 +404,8 @@ def cmd_symmetry(o: dict):
          n=GRID_256,
          eps_min=Option(1e-4, positive, "smallest perturbation size"),
          eps_max=Option(1e-1, positive, "largest perturbation size"),
-         eps_count=Option(10, integer, "log-spaced perturbation sizes"),
+         eps_count=Option(10, _converter("count (>= 3)", int, str, int, ok=lambda x: x >= 3),
+                          "log-spaced perturbation sizes"),
          budget=Option(200, integer, "function evaluations per search"))
 def cmd_rate_scan(o: dict):
     F, G = resolve_pair("sin-sin", o["n"])

@@ -3,21 +3,19 @@
 A FlowWord describes a path of diffeomorphisms, tau |-> word(tau), built
 from factors phi_X^{c(tau)} (the flow of a degree-1 generator X run for
 time c(tau)), ordered products, pointwise inverses, and conjugations.
-``path_generator`` returns the truncated Lie series of the time-dependent
-Hamiltonian generating that path, using:
+Every word is a plain product of factors: phi_X^{-c} inverts phi_X^{c}, so
+the inverse of phi_{X1}^{c1} ... phi_{Xn}^{cn} is
+phi_{Xn}^{-cn} ... phi_{X1}^{-c1}, and c.a.c^{-1} is a product too.
 
-* a factor with time polynomial c generates c'(tau) * X;
-* a product a.b generates A(tau) + Pb(tau) where Pb is B(tau) carried
-  through the pullback of a, the operator solving
-  d/dtau P(H) = -{P(H), A(tau)} from P_0 = pullback by the initial map
-  a_0 (the identity for paths whose factor times vanish at tau = 0);
-* an inverse generates the unique series cancelling its partner, solved
-  triangularly order by order from gen(a . a^{-1}) = 0;
-* a tau-independent word generates nothing and acts purely through its
-  exact pullback H |-> H o c^{-1} = sum_k (-s)^k/k! {..{H,X}..,X}.
+``path_generator`` returns the truncated Lie series of the time-dependent
+Hamiltonian generating that path as one fold over the factors from the
+right.  A product f.b, with f = phi_X^{c(tau)}, is generated by
+c'(tau) X + Pi^f_tau(B(tau)): B carried through the exact pullback by the
+initial map, H |-> H o phi_X^{-c(0)} = sum_k (-c(0))^k/k! {..{H,X}..,X},
+and then through the solution of d/dtau P(H) = -{P(H), c'(tau) X}.
 
 With the bracket convention {F, G} = (d/dt)|_0 F o g_t, the pullback of a
-fixed element H by the path of a is H o a_tau^{-1}, which is what the ODE
+fixed element H by the path of f is H o f_tau^{-1}, which is what the ODE
 above encodes.  All arithmetic is exact rational.
 """
 
@@ -58,6 +56,7 @@ class FlowWord:
     """Base class; concrete nodes below."""
 
     def normalized(self) -> "FlowWord":
+        """A Conjugate as its product c.a.c^{-1}; any other word as itself."""
         return self
 
 
@@ -79,16 +78,10 @@ class Product(FlowWord):
         if not self.children:
             raise ValueError("a product needs at least one child")
 
-    def normalized(self) -> FlowWord:
-        return Product(tuple(c.normalized() for c in self.children))
-
 
 @dataclass(frozen=True)
 class Inverse(FlowWord):
     child: FlowWord
-
-    def normalized(self) -> FlowWord:
-        return Inverse(self.child.normalized())
 
 
 @dataclass(frozen=True)
@@ -98,9 +91,8 @@ class Conjugate(FlowWord):
     child: FlowWord
     by: FlowWord
 
-    def normalized(self) -> FlowWord:
-        by = self.by.normalized()
-        return Product((by, self.child.normalized(), Inverse(by)))
+    def normalized(self) -> Product:
+        return Product((self.by, self.child, Inverse(self.by)))
 
 
 def commutator(a: FlowWord, b: FlowWord) -> FlowWord:
@@ -132,32 +124,6 @@ class LieSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def __add__(self, other: "LieSeries") -> "LieSeries":
-        T = min(self.truncation, other.truncation)
-        return LieSeries([self.coeffs[k] + other.coeffs[k] for k in range(T + 1)], T)
-
-    def __neg__(self) -> "LieSeries":
-        return LieSeries([-c for c in self.coeffs], self.truncation)
-
-    def __sub__(self, other: "LieSeries") -> "LieSeries":
-        return self + (-other)
-
-    def scale(self, s: Scalar) -> "LieSeries":
-        return LieSeries([c.scale(s) for c in self.coeffs], self.truncation)
-
-    def differentiated(self) -> "LieSeries":
-        """d/dtau, truncation drops by one."""
-        if self.truncation == 0:
-            raise BoundsError("cannot differentiate a constant-only series")
-        out = [self.coeffs[k + 1].scale(k + 1) for k in range(self.truncation)]
-        return LieSeries(out, self.truncation - 1)
-
-    def integrated(self, max_degree: int) -> "LieSeries":
-        """tau-antiderivative with zero constant term, truncation grows by one."""
-        out = [LiePoly.zero(max_degree)]
-        out += [self.coeffs[k].scale(Fraction(1, k + 1)) for k in range(self.truncation + 1)]
-        return LieSeries(out, self.truncation + 1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieSeries):
             return NotImplemented
@@ -178,37 +144,17 @@ class LieSeries:
 # -- generator calculus -------------------------------------------------------
 
 
-def _is_constant_time(time: TimePoly) -> bool:
-    return all(c == 0 for c in time[1:])
-
-
-def is_fixed_word(word: FlowWord) -> bool:
-    """True when the word describes a single tau-independent diffeomorphism
-    (every factor time polynomial is constant)."""
-    word = word.normalized()
+def _factors(word: FlowWord) -> list[tuple[LiePoly, TimePoly]]:
+    """The word as its ordered factors phi_X^{c(tau)}, as (X, c) pairs."""
     if isinstance(word, Factor):
-        return _is_constant_time(word.time)
+        return [(word.generator, word.time)]
     if isinstance(word, Product):
-        return all(is_fixed_word(c) for c in word.children)
+        return [f for child in word.children for f in _factors(child)]
     if isinstance(word, Inverse):
-        return is_fixed_word(word.child)
-    raise TypeError(word)
-
-
-def _flatten_fixed(word: FlowWord) -> list[tuple[LiePoly, Fraction]]:
-    """A fixed word as an ordered list of (generator, time) factor powers."""
-    word = word.normalized()
-    if isinstance(word, Factor):
-        s = word.time[0] if word.time else Fraction(0)
-        return [(word.generator, s)]
-    if isinstance(word, Product):
-        out = []
-        for c in word.children:
-            out += _flatten_fixed(c)
-        return out
-    if isinstance(word, Inverse):
-        return [(X, -s) for X, s in reversed(_flatten_fixed(word.child))]
-    raise TypeError(word)
+        return [(X, poly_scale(c, -1)) for X, c in reversed(_factors(word.child))]
+    if isinstance(word, Conjugate):
+        return _factors(word.normalized())
+    raise TypeError(f"not a FlowWord: {word!r}")
 
 
 def _theta_poly(X: LiePoly, s: Fraction, H: LiePoly, max_degree: int) -> LiePoly:
@@ -228,40 +174,22 @@ def _theta_poly(X: LiePoly, s: Fraction, H: LiePoly, max_degree: int) -> LiePoly
 
 def fixed_pullback(word: FlowWord, H: LiePoly, max_degree: int | None = None) -> LiePoly:
     """Pi^c(H) = H o c^{-1} for a tau-independent word c, applied exactly."""
-    if not is_fixed_word(word):
+    factors = _factors(word)
+    if any(any(c[1:]) for _, c in factors):
         raise ValueError("fixed_pullback needs a tau-independent word")
     if max_degree is None:
         max_degree = H.max_degree
     out = H
-    for X, s in reversed(_flatten_fixed(word)):
-        out = _theta_poly(X, -s, out, max_degree)
+    for X, c in reversed(factors):
+        out = _theta_poly(X, -c[0] if c else Fraction(0), out, max_degree)
     return out
 
 
-def _fixed_pullback_series(word: FlowWord, series: LieSeries, max_degree: int) -> LieSeries:
-    coeffs = [fixed_pullback(word, c, max_degree) for c in series.coeffs]
-    return LieSeries(coeffs, series.truncation)
-
-
-def _at_zero(word: FlowWord) -> FlowWord:
-    """The tau = 0 snapshot of a word, as a fixed word."""
-    word = word.normalized()
-    if isinstance(word, Factor):
-        s = word.time[0] if word.time else Fraction(0)
-        return Factor(word.generator, (s,))
-    if isinstance(word, Product):
-        return Product(tuple(_at_zero(c) for c in word.children))
-    if isinstance(word, Inverse):
-        return Inverse(_at_zero(word.child))
-    raise TypeError(word)
-
-
-def _starts_at_identity(word: FlowWord) -> bool:
-    return all(s == 0 for _, s in _flatten_fixed(_at_zero(word)))
-
-
-def _pullback_coeffs(gen: LieSeries, seed: LiePoly, upto: int, max_degree: int) -> list[LiePoly]:
-    """Coefficients of Pi^a_tau(seed) for a path with generator series gen.
+def _pullback_coeffs(
+    gen: list[LiePoly], seed: LiePoly, upto: int, max_degree: int
+) -> list[LiePoly]:
+    """Coefficients of the ODE part of Pi^a_tau(seed), for a path with
+    generator coefficients gen.
 
     Solves d/dtau U = -{U, A(tau)}, U(0) = seed, order by order:
     (k+1) U_{k+1} = -sum_{i+j=k} {U_i, A_j}.
@@ -270,57 +198,12 @@ def _pullback_coeffs(gen: LieSeries, seed: LiePoly, upto: int, max_degree: int) 
     for k in range(upto):
         acc = LiePoly.zero(max_degree)
         for i in range(k + 1):
-            a = gen.coeffs[k - i]
+            a = gen[k - i]
             if U[i].is_zero() or a.is_zero():
                 continue
             acc = acc + bracket(U[i], a, max_degree)
         U.append(acc.scale(Fraction(-1, k + 1)))
     return U
-
-
-def _pullback_apply(
-    gen: LieSeries, series: LieSeries, max_degree: int, init: FlowWord | None = None
-) -> LieSeries:
-    """Sum_j tau^j Pi^a_tau(B_j) truncated, applied coefficient-wise.
-
-    For a path a with a_0 != id the pullback factorizes as (ODE evolution
-    from the identity, driven by gen(a)) composed after Pi^{a_0}, so each
-    coefficient is carried through the fixed initial pullback first.
-    """
-    T = min(gen.truncation, series.truncation)
-    out = [LiePoly.zero(max_degree) for _ in range(T + 1)]
-    for j in range(T + 1):
-        seed = series.coeffs[j]
-        if init is not None:
-            seed = fixed_pullback(init, seed, max_degree)
-        if seed.is_zero():
-            continue
-        U = _pullback_coeffs(gen, seed, T - j, max_degree)
-        for m, u in enumerate(U):
-            out[j + m] = out[j + m] + u
-    return LieSeries(out, T)
-
-
-def _inverse_generator(gen: LieSeries, max_degree: int, init: FlowWord | None = None) -> LieSeries:
-    """Generator of the pointwise-inverse path: the unique series Abar with
-    A(tau) + Pi^a_tau(Abar(tau)) = 0, solved triangularly.  The order-k
-    equation reads Pi^{a_0}(Abar_k) + known lower-order terms = -A_k, so
-    each new coefficient is recovered through the inverse initial pullback.
-    """
-    T = gen.truncation
-    inv_init = Inverse(init) if init is not None else None
-    partial = [LiePoly.zero(max_degree) for _ in range(T + 1)]
-    out: list[LiePoly] = []
-    for k in range(T + 1):
-        seed_k = -(gen.coeffs[k] + partial[k])  # = Pi^{a_0}(Abar_k)
-        abar_k = seed_k if inv_init is None else fixed_pullback(inv_init, seed_k, max_degree)
-        out.append(abar_k)
-        if seed_k.is_zero():
-            continue
-        U = _pullback_coeffs(gen, seed_k, T - k, max_degree)
-        for m, u in enumerate(U):
-            partial[k + m] = partial[k + m] + u
-    return LieSeries(out, T)
 
 
 def path_generator(word: FlowWord, truncation: int) -> LieSeries:
@@ -336,35 +219,20 @@ def path_generator(word: FlowWord, truncation: int) -> LieSeries:
         raise BoundsError(
             f"truncation must be an integer in [1, {MAX_TRUNCATION}], got {truncation!r}"
         )
-    max_degree = truncation + 1
-    return _generator(word.normalized(), truncation, max_degree)
-
-
-def _generator(word: FlowWord, T: int, max_degree: int) -> LieSeries:
-    if isinstance(word, Factor):
-        dt = poly_derivative(word.time)
-        coeffs = []
-        for k in range(T + 1):
-            c = dt[k] if k < len(dt) else Fraction(0)
-            coeffs.append(word.generator.truncated(max_degree).scale(c))
-        return LieSeries(coeffs, T)
-    if isinstance(word, Product):
-        gen = _generator(word.children[-1], T, max_degree)
-        for child in reversed(word.children[:-1]):
-            if is_fixed_word(child):
-                # a fixed map generates nothing; it only transports the
-                # tail's Hamiltonian through its (tau-independent) pullback
-                gen = _fixed_pullback_series(child, gen, max_degree)
-            else:
-                left = _generator(child, T, max_degree)
-                init = None if _starts_at_identity(child) else _at_zero(child)
-                gen = left + _pullback_apply(left, gen, max_degree, init)
-        return gen
-    if isinstance(word, Inverse):
-        if is_fixed_word(word):
-            return LieSeries.zero(T, max_degree)
-        init = None if _starts_at_identity(word.child) else _at_zero(word.child)
-        return _inverse_generator(_generator(word.child, T, max_degree), max_degree, init)
-    if isinstance(word, Conjugate):
-        return _generator(word.normalized(), T, max_degree)
-    raise TypeError(f"not a FlowWord: {word!r}")
+    T, max_degree = truncation, truncation + 1
+    gen = [LiePoly.zero(max_degree) for _ in range(T + 1)]
+    # f.b, with f = phi_X^{c(tau)}, is generated by c'(tau) X + Pi^f_tau(B)
+    for X, c in reversed(_factors(word)):
+        X = X.truncated(max_degree)
+        dc = poly_derivative(c)
+        left = [X.scale(dc[k] if k < len(dc) else 0) for k in range(T + 1)]
+        out = list(left)
+        for j, seed in enumerate(gen):
+            if c and c[0]:
+                seed = _theta_poly(X, -c[0], seed, max_degree)
+            if seed.is_zero():
+                continue
+            for m, u in enumerate(_pullback_coeffs(left, seed, T - j, max_degree)):
+                out[j + m] = out[j + m] + u
+        gen = out
+    return LieSeries(gen, T)

@@ -83,11 +83,7 @@ class LiePoly:
         md = min(self.max_degree, other.max_degree)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            v = out.get(w, 0) + c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
+            out[w] = out.get(w, 0) + c
         return LiePoly(out, md)
 
     def __neg__(self) -> "LiePoly":
@@ -156,9 +152,5 @@ def bracket(p: LiePoly, q: LiePoly, max_degree: int | None = None) -> LiePoly:
                 continue
             s = cu * cv
             for w, cw in _basis_pair_bracket(u, v):
-                val = out.get(w, 0) + s * cw
-                if val:
-                    out[w] = val
-                else:
-                    out.pop(w, None)
+                out[w] = out.get(w, 0) + s * cw
     return LiePoly(out, max_degree)

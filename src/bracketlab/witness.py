@@ -151,15 +151,11 @@ class WitnessConfig:
     spike_plateau: Fraction = Fraction(7, 20000)
     a_start: Fraction = Fraction(11, 10)
     kappa: float | None = None
-    N_list: tuple[int, ...] = (100, 1000, 10000)
-    grid_n: int = 2048
     window_margin: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
         if self.delta <= 0:
             raise PreconditionError("delta must be positive")
-        if any(N < 1 for N in self.N_list):
-            raise PreconditionError("all oscillation frequencies must be >= 1")
         if self.q_start <= 0:
             raise PreconditionError("construction must live in the positive half-line")
         for name, L, drop in (
@@ -352,9 +348,8 @@ class WitnessFields:
 
     # -- domains -----------------------------------------------------------
 
-    def window_domain(self, n: int | None = None) -> Domain2:
+    def window_domain(self, n: int) -> Domain2:
         cfg = self.cfg
-        n = n or cfg.grid_n
         p0, p1 = -0.5, 13.5
         q0 = float(cfg.c1 - cfg.window_margin)
         q1 = float(cfg.c4 + cfg.window_margin)
@@ -418,8 +413,6 @@ class WitnessFields:
                 "delta": float(cfg.delta),
                 "c": [float(cfg.c1), float(cfg.c2), float(cfg.c3), float(cfg.c4)],
                 "kappa": self.kappa,
-                "grid_n": cfg.grid_n,
-                "N_list": list(cfg.N_list),
                 "neg_plateau_len": float(self.neg_plateau_len),
             },
             "notes": self.notes,
@@ -578,7 +571,7 @@ def _grid_values_chunked(
 
 
 def r_field(
-    fields: WitnessFields, N: int, n: int | None = None, raise_on_violation: bool = True
+    fields: WitnessFields, N: int, n: int, raise_on_violation: bool = True
 ) -> dict:
     """Evaluate R on the 2-D window and certify |R| <= 0.99 globally.
 
@@ -628,12 +621,10 @@ def _r_report(
 
 
 def verify_oscillation_ratios(
-    fields: WitnessFields, N_list: tuple[int, ...] | None = None, n: int | None = None
+    fields: WitnessFields, N_list: tuple[int, ...], n: int
 ) -> dict:
     """Ratios max/min {{F_N,G},F_N} over {{F,G},F} and the O(1/N) residual
     against u'^2 R, per oscillation frequency N."""
-    cfg = fields.cfg
-    N_list = tuple(N_list or cfg.N_list)
     dom = fields.window_domain(n)
     F = fields.field_F(dom)
     G = fields.field_G(dom)

@@ -115,12 +115,14 @@ def exit_status(args):
         (["rate-scan", "--eps-min", "0"], None),
         (["rate-scan", "--eps-max", "-1"], None),
         (["rate-scan"], {"eps_min": 0}),
+        (["rate-scan", "--eps-count", "1"], None),
+        (["rate-scan"], {"eps_count": 2}),
     ],
     ids=["v-text", "v-length", "N-list-text", "delta-1/0", "delta-text", "k-without-m", "N-0",
          "resolution-0", "cfg-seed", "cfg-n-text", "cfg-n-float", "cfg-trials-bool",
          "cfg-fields-number", "cfg-squares-text", "cfg-which-choice", "cfg-list",
          "witness-build-grid-n", "trials-negative", "cfg-trials-negative", "eps-min-0",
-         "eps-max-negative", "cfg-eps-min-0"],
+         "eps-max-negative", "cfg-eps-min-0", "eps-count-1", "cfg-eps-count-2"],
 )
 def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     if config is not None:
@@ -136,8 +138,14 @@ def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     (["lh-check", "--trials", "-3"], "--trials"),
     (["rate-scan", "--eps-min", "0"], "--eps-min"),
     (["rate-scan", "--eps-max", "-1"], "--eps-max"),
+    (["rate-scan", "--eps-count", "1"], "--eps-count"),
+    (["rate-scan", {"eps_count": 2}], "'eps_count'"),
 ])
 def test_out_of_range_value_names_its_option(tmp_path, capsys, args, named):
+    if isinstance(args[-1], dict):  # the contents of a config file
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(args[-1]))
+        args = args[:-1] + ["--config", str(cfg_file)]
     assert exit_status(args + ["--out-dir", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
 
@@ -275,3 +283,11 @@ def test_functional_reports_carry_value_grid_tolerances(tmp_path):
         assert run_cli(args, tmp_path) == 0
         rep = json.loads((tmp_path / f"{name}.json").read_text())["report"]
         assert {"functional", "value", "grid", "tolerances"} <= set(rep)
+
+
+def test_witness_verify_single_N_alias():
+    from bracketlab.cli import build_parser, resolve_config
+
+    args = build_parser().parse_args(["witness-verify", "--N", "1000"])
+    cfg = resolve_config(args)
+    assert cfg.options["N_list"] == "1000"

@@ -132,23 +132,11 @@ def test_commutator_convention():
     # [a, b] = a b a^-1 b^-1
     word = commutator(f_tau(), g_tau())
     series = path_generator(word, 3)
-    md = 4
     assert series.coefficient(0).is_zero()
-    # leading term of the commutator path generator is 2 tau {F,G}... no:
     # check against the oracle rather than a guessed closed form
     expected = oracle_generator(word, 3)
     for k in range(4):
         assert series.coefficient(k) == expected[k]
-
-
-def test_series_arithmetic_roundtrip():
-    word = Product((f_tau(), g_tau()))
-    s = path_generator(word, 4)
-    ds = s.differentiated()
-    back = ds.integrated(max_degree=5)
-    for k in range(1, 5):
-        assert back.coefficient(k) == s.coefficient(k)
-    assert back.coefficient(0).is_zero()
 
 
 def test_pullback_by_constant_preserves_tau_pattern():
@@ -172,18 +160,9 @@ def test_pullback_by_constant_preserves_tau_pattern():
 def test_zero_series_api():
     z = LieSeries.zero(3, 4)
     assert z.is_zero()
-    word = Product((f_tau(), g_tau()))
-    s = path_generator(word, 3)
-    assert (s - s).is_zero()
-    assert (z + s) == s
-
-
-def test_witness_verify_single_N_alias():
-    from bracketlab.cli import build_parser, resolve_config
-
-    args = build_parser().parse_args(["witness-verify", "--N", "1000"])
-    cfg = resolve_config(args)
-    assert cfg.options["N_list"] == "1000"
+    assert z == path_generator(Product((f_tau(), Inverse(f_tau()))), 3)
+    assert z != path_generator(Product((f_tau(), g_tau())), 3)
+    assert all(z.coefficient(k).is_zero() for k in range(4))
 
 
 def test_fixed_factor_generates_nothing():
@@ -206,6 +185,25 @@ def test_fixed_conjugation_maps_coefficients_through_pullback():
     # tau-power zero/nonzero pattern is preserved
     for k in range(T + 1):
         assert conj.coefficient(k).is_zero() == base.coefficient(k).is_zero()
+
+
+def test_fixed_pullback_refuses_moving_words_and_inverts_fixed_ones():
+    from bracketlab.flows import fixed_pullback
+
+    md = 5
+    H = bracket(F(md), G(md), md) + G(md)
+    moving = Product((f_tau(), Factor(G(2), time_poly(1))))
+    for word in (moving, Inverse(moving), Conjugate(Factor(G(2), time_poly(1)), by=moving)):
+        with pytest.raises(ValueError):
+            fixed_pullback(word, H, md)
+    c = Product((Factor(F(2), time_poly(Fraction(1, 2))), Factor(G(2), time_poly(-2))))
+    moved = fixed_pullback(c, H, md)
+    assert moved != H.truncated(md)
+    assert fixed_pullback(Inverse(c), moved, md) == H.truncated(md)
+    conj = Conjugate(Factor(F(2), time_poly(3)), by=c)
+    assert fixed_pullback(conj, H, md) == fixed_pullback(
+        c, fixed_pullback(Factor(F(2), time_poly(3)), fixed_pullback(Inverse(c), H, md), md), md
+    )
 
 
 def test_fixed_conjugation_matches_envelope_oracle():
