@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv as _csv
 import operator
+from functools import reduce
 
 import numpy as np
 
@@ -192,6 +193,8 @@ class SampledField(JetField):
         values = np.asarray(values, dtype=float)
         if values.shape != (domain.n, domain.n):
             raise PreconditionError("sample shape must match the domain grid")
+        if not np.all(np.isfinite(values)):
+            raise PreconditionError("samples must be finite")
         self.domain = domain
         self._values = values
         self.provenance = "sampled"
@@ -268,7 +271,11 @@ def coordinate_q(domain: Domain2) -> AnalyticField:
 
 def trig_polynomial(domain: Domain2, coeffs: np.ndarray, phases_p=None, phases_q=None) -> AnalyticField:
     """Real trigonometric polynomial sum_{k,l} c[k,l] sin(k p + a_k) sin(l q + b_l)
-    over modes 1..K; used for random smooth test fields."""
+    over modes 1..K; used for random smooth test fields.
+
+    Summed as a rank-K sum over rows, sum_k sin(k p + a_k) g_k(q) with
+    g_k(q) = sum_l sin(l q + b_l) c[k,l] formed on the q axis, so only the
+    K row products are n^2 jets; zero coefficients and rows are skipped."""
     coeffs = np.asarray(coeffs, dtype=float)
     K, L = coeffs.shape
     ap = np.zeros(K) if phases_p is None else np.asarray(phases_p, dtype=float)
@@ -277,13 +284,10 @@ def trig_polynomial(domain: Domain2, coeffs: np.ndarray, phases_p=None, phases_q
     def build(jp: Jet2, jq: Jet2) -> Jet2:
         sq = [jet_sin(jq.scale(l + 1.0) + aq[l]) for l in range(L)]
         out = None
-        for k in range(K):
-            sk = jet_sin(jp.scale(k + 1.0) + ap[k])
-            for l in range(L):
-                c = coeffs[k, l]
-                if c == 0.0:
-                    continue
-                term = (sk * sq[l]).scale(c)
+        for k, row in enumerate(coeffs):
+            gk = [sq[l].scale(c) for l, c in enumerate(row) if c != 0.0]
+            if gk:
+                term = jet_sin(jp.scale(k + 1.0) + ap[k]) * reduce(operator.add, gk)
                 out = term if out is None else out + term
         return out if out is not None else jp.scale(0.0)
 
@@ -311,23 +315,25 @@ def save_field_csv(values: np.ndarray, domain: Domain2, path) -> None:
 
 
 def load_field_csv(path) -> SampledField:
+    """The sampled field of a CSV written by save_field_csv; a malformed
+    file is refused with a PreconditionError naming it."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
+        rows = list(_csv.reader(fh))
+    try:
+        header, meta, *body = rows
         if header[:3] != ["n", "h", "kind"]:
-            raise PreconditionError(f"bad field CSV header in {path}")
-        meta = next(reader)
-        n = int(meta[0])
-        kind = meta[2]
-        rows = [list(map(float, row)) for row in reader if row]
-    values = np.asarray(rows, dtype=float)
-    if values.shape != (n, n):
-        raise PreconditionError(f"field CSV body is {values.shape}, expected ({n}, {n})")
-    if kind == "torus":
-        domain = Domain2.torus(n)
-    elif kind.startswith("rect:"):
-        bounds = tuple(float(x) for x in kind.split(":")[1:])
-        domain = Domain2.rect(n, bounds, support_margin=False)
-    else:
-        raise PreconditionError(f"unknown domain kind {kind!r} in {path}")
-    return SampledField(domain, values)
+            raise PreconditionError("bad header")
+        n, kind = int(meta[0]), meta[2]
+        values = np.asarray([list(map(float, row)) for row in body if row], dtype=float)
+        if values.shape != (n, n):
+            raise PreconditionError(f"body is {values.shape}, expected ({n}, {n})")
+        if kind == "torus":
+            domain = Domain2.torus(n)
+        elif kind.startswith("rect:"):
+            bounds = tuple(float(x) for x in kind.split(":")[1:])
+            domain = Domain2.rect(n, bounds, support_margin=False)
+        else:
+            raise PreconditionError(f"unknown domain kind {kind!r}")
+        return SampledField(domain, values)
+    except (ValueError, IndexError) as e:  # the package's errors are ValueErrors
+        raise PreconditionError(f"bad field CSV {path}: {e}") from None

@@ -114,10 +114,6 @@ class LieSeries:
         self.coeffs = list(coeffs)
         self.truncation = truncation
 
-    @classmethod
-    def zero(cls, truncation: int, max_degree: int) -> "LieSeries":
-        return cls([LiePoly.zero(max_degree) for _ in range(truncation + 1)], truncation)
-
     def coefficient(self, k: int) -> LiePoly:
         return self.coeffs[k]
 

@@ -28,6 +28,7 @@ ALPHABET = "FG"
 MAX_WORD_DEGREE = 12
 
 
+@lru_cache(maxsize=None)
 def is_lyndon(word: str) -> bool:
     """A nonempty word is Lyndon iff it is strictly smaller than every
     proper rotation of itself."""

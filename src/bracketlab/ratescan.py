@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .brackets import BracketField
+from .domain import Domain2
 from .jets import jet_sin
 from .errors import PreconditionError
 from .fields import AnalyticField, JetField, trig_polynomial, univariate_jet
@@ -102,8 +103,11 @@ class ModulatedFamily:
 
 class RandomFourierFamily:
     """F' = F + f eps s with s a random trigonometric polynomial of low
-    mode count, scaled so its true sup norm is certified <= 1 by an
-    oversampled grid max with an Ehlich-Zeller aliasing margin."""
+    mode count, scaled so its true sup norm is certified <= 1.  The bound
+    is the max of |s| on an oversampled torus grid, computed by the same
+    trig_polynomial builder that forms the member, divided by an
+    Ehlich-Zeller aliasing guard; the scale f eps / bound is folded into
+    the coefficients."""
 
     name = "random-fourier"
 
@@ -127,33 +131,23 @@ class RandomFourierFamily:
             cg = rng.normal(size=(K, K))
             phf = rng.uniform(0, 2 * np.pi, size=(2, K))
             phg = rng.uniform(0, 2 * np.pi, size=(2, K))
-            self._cache[index] = (cf, cg, phf, phg, self._norm_bound(cf, phf), self._norm_bound(cg, phg))
+            self._cache[index] = tuple(
+                (c, ph, self._norm_bound(c, ph)) for c, ph in ((cf, phf), (cg, phg))
+            )
         return self._cache[index]
 
     def _norm_bound(self, coeffs, phases) -> float:
         n = self.oversample
-        t = np.arange(n) * (2 * np.pi / n)
-        vals = _trig_values(coeffs, phases, t[:, None], t[None, :])
+        vals = trig_polynomial(Domain2.torus(n), coeffs, phases[0], phases[1]).values()
         guard = np.cos(np.pi * self.modes / (2 * n)) ** 2
         return float(np.max(np.abs(vals))) / guard
 
     def member(self, F: JetField, G: JetField, eps: float, x: np.ndarray):
         index, frac = int(round(x[0])) % self.n_members, _clip_frac(x[1])
-        cf, cg, phf, phg, nf, ng = self._sample(index)
-        Fp = F + trig_polynomial(F.domain, cf, phf[0], phf[1]) * (frac * eps / nf)
-        Gp = G + trig_polynomial(G.domain, cg, phg[0], phg[1]) * (frac * eps / ng)
-        return Fp, Gp
-
-
-def _trig_values(coeffs, phases, p, q):
-    # one-variable sin factors on broadcast axes p (n,1), q (1,n)
-    out = np.zeros(np.broadcast_shapes(p.shape, q.shape))
-    K = coeffs.shape[0]
-    for k in range(K):
-        sp = np.sin((k + 1) * p + phases[0, k])
-        for l in range(K):
-            out += coeffs[k, l] * sp * np.sin((l + 1) * q + phases[1, l])
-    return out
+        return tuple(
+            X + trig_polynomial(X.domain, c * (frac * eps / norm), ph[0], ph[1])
+            for X, (c, ph, norm) in zip((F, G), self._sample(index))
+        )
 
 
 # -- search -----------------------------------------------------------------------

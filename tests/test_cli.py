@@ -150,6 +150,36 @@ def test_out_of_range_value_names_its_option(tmp_path, capsys, args, named):
     assert named in capsys.readouterr().err
 
 
+def _field_csv(meta="16,0.39,torus", first="0.5", cell="0.5"):
+    cells = [first] + [cell] * 255
+    body = [",".join(cells[i:i + 16]) for i in range(0, 256, 16)]
+    return "\n".join(["n,h,kind", meta, *body]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _field_csv(meta="16.5,0.39,torus"),
+        "",
+        "n,h,kind\n",
+        _field_csv(first="abc"),
+        _field_csv(meta="16,0.1,rect:0:1"),
+        _field_csv(meta="16,0.1,rect:0:1:a:2"),
+        _field_csv(first="nan", cell="nan"),
+    ],
+    ids=["n-not-integer", "empty", "header-only", "cell-text", "rect-two-bounds",
+         "rect-bound-text", "all-nan"],
+)
+def test_malformed_field_csv_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "X.csv"
+    path.write_text(text)
+    assert exit_status(["bracket-eval", "--fields", f"{path},{path}",
+                        "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(path) in err
+    assert [p.name for p in tmp_path.iterdir()] == ["X.csv"]
+
+
 def test_config_values_are_converted_like_flags(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"n": "64", "alpha": 2, "element": "scale", "out_dir": None}))

@@ -105,19 +105,46 @@ def test_field_algebra():
     assert np.allclose((F * G).values(), np.sin(P) * np.sin(Q))
 
 
-def test_trig_polynomial_matches_direct_sum(rng):
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        None,
+        np.array([[1.0, -0.5, 0.25], [0.0, 2.0, -1.0], [0.5, 0.75, 1.5]]),
+        np.array([[1.0, -0.5, 0.25], [0.0, 0.0, 0.0], [0.5, 0.75, 1.5]]),
+        np.zeros((3, 3)),
+    ],
+    ids=["random-2x2", "zero-coefficient", "zero-row", "all-zero"],
+)
+def test_trig_polynomial_matches_direct_sum(rng, coeffs):
+    # the K^2 definition, differentiated in closed form: d^i/dp^i sin(k p + a)
+    # is k^i sin(k p + a + i pi/2)
     dom = Domain2.torus(64)
-    coeffs = rng.normal(size=(2, 2))
-    ph_p = rng.uniform(0, 2 * np.pi, 2)
-    ph_q = rng.uniform(0, 2 * np.pi, 2)
+    if coeffs is None:
+        coeffs = rng.normal(size=(2, 2))
+    K = coeffs.shape[0]
+    ph_p = rng.uniform(0, 2 * np.pi, K)
+    ph_q = rng.uniform(0, 2 * np.pi, K)
     f = trig_polynomial(dom, coeffs, ph_p, ph_q)
     P, Q = dom.grid()
-    want = sum(
-        coeffs[k, l] * np.sin((k + 1) * P + ph_p[k]) * np.sin((l + 1) * Q + ph_q[l])
-        for k in range(2)
-        for l in range(2)
-    )
-    assert np.max(np.abs(f.values() - want)) < 1e-12
+
+    def want(i, j):
+        return sum(
+            coeffs[k, l] * (k + 1) ** i * (l + 1) ** j
+            * np.sin((k + 1) * P + ph_p[k] + i * np.pi / 2)
+            * np.sin((l + 1) * Q + ph_q[l] + j * np.pi / 2)
+            for k in range(K)
+            for l in range(K)
+        )
+
+    jet = f.jet(2)
+    for i in range(3):
+        for j in range(3 - i):
+            assert np.max(np.abs(jet.derivative(i, j) - want(i, j))) < 1e-12, (i, j)
+    vals = f.values()
+    assert vals.shape == (64, 64) and vals.flags.c_contiguous
+    assert np.max(np.abs(vals - want(0, 0))) < 1e-12
+    if not coeffs.any():
+        assert not vals.any()
 
 
 def test_csv_roundtrip_torus(tmp_path):

@@ -19,7 +19,6 @@ from bracketlab.ratescan import (
     ModulatedFamily,
     OscillatoryFamily,
     RandomFourierFamily,
-    _trig_values,
     functional_value,
 )
 
@@ -102,15 +101,19 @@ def test_rate_scan_members(wf):
 
 
 def test_random_fourier_norm_values():
-    # reference: the dense-meshgrid loop the separable sum replaced
+    # reference: the rank-K sum of the builder, on the dense meshgrid
     rng = np.random.default_rng(4)
     coeffs, phases = rng.normal(size=(3, 3)), rng.uniform(0, 2 * np.pi, size=(2, 3))
     t = np.arange(96) * (2 * np.pi / 96)
     P, Q = np.meshgrid(t, t, indexing="ij")
-    want = np.zeros_like(P)
+    want = 0.0
     for k in range(3):
+        g = 0.0
         for l in range(3):
-            want += coeffs[k, l] * np.sin((k + 1) * P + phases[0, k]) * np.sin(
-                (l + 1) * Q + phases[1, l]
-            )
-    assert np.array_equal(_trig_values(coeffs, phases, t[:, None], t[None, :]), want)
+            g = g + np.sin((l + 1.0) * Q + phases[1, l]) * coeffs[k, l]
+        want = want + np.sin((k + 1.0) * P + phases[0, k]) * g
+    family = RandomFourierFamily(0, oversample=96)
+    guard = np.cos(np.pi * 3 / (2 * 96)) ** 2
+    assert family._norm_bound(coeffs, phases) == float(np.max(np.abs(want))) / guard
+    got = trig_polynomial(Domain2.torus(96), coeffs, phases[0], phases[1]).values()
+    assert np.array_equal(got, want)
