@@ -21,18 +21,6 @@ def BracketField(F: JetField, G: JetField) -> DerivedField:
     return DerivedField(poisson_jet, F, G, lowers=1)
 
 
-def poisson(F: JetField, G: JetField, jet_order_out: int = 0) -> DerivedField:
-    """The Poisson bracket {F, G} exposing jets up to jet_order_out <= 3."""
-    if jet_order_out > 3:
-        raise BoundsError("a single bracket supports output jet order <= 3")
-    out = BracketField(F, G)
-    if jet_order_out > out.max_order:
-        raise BoundsError(
-            f"output jet order {jet_order_out} not available (parents give {out.max_order})"
-        )
-    return out
-
-
 @dataclass(frozen=True)
 class BracketWord:
     """An iterated-bracket nesting over the letters F and G.
@@ -111,8 +99,8 @@ def _parse_expr(s: str):
 
 
 def iterated_bracket(word: BracketWord, F: JetField, G: JetField) -> JetField:
-    """Evaluate a bracket word on a field pair by folding poisson over the
-    nesting.  Letter count <= 5 keeps order-4 jets exact."""
+    """Evaluate a bracket word on a field pair by folding BracketField over
+    the nesting.  Letter count <= 5 keeps order-4 jets exact."""
     if word.letter_count > MAX_BRACKET_LETTERS:
         raise BoundsError(
             f"bracket word has {word.letter_count} letters; jet order supports at most "

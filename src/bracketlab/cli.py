@@ -219,7 +219,7 @@ _NAMED = {
     "sin-p": sin_p,
     "sin-q": sin_q,
     "zero": zero_field,
-    "cos-pq": lambda dom: AnalyticField(dom, lambda jp, jq: jet_cos(jp + jq), name="cos(p+q)"),
+    "cos-pq": lambda dom: AnalyticField(dom, lambda jp, jq: jet_cos(jp + jq)),
 }
 
 
@@ -246,7 +246,7 @@ def resolve_pair(spec: str, n: int):
         raise PreconditionError(f"field pair spec must be 'name,name', got {spec!r}")
     if all(s.endswith(".csv") for s in names):
         a, b = (_single_field(s, None) for s in names)
-        if not a.domain.same_grid(b.domain):
+        if a.domain != b.domain:
             raise PreconditionError("CSV fields live on different grids")
         return a, b
     dom = Domain2.torus(n)

@@ -1,15 +1,13 @@
 """2-D evaluation domains: the periodic torus and rectangles.
 
-Rectangles come in two flavors controlled by ``support_margin``: domains
-that promise compactly supported fields (everything vanishes on the
-outermost margin band, checked at evaluation where it matters, e.g. for
-integrals) and plain evaluation windows used to zoom into a region at
-high resolution.
+A rectangle is an evaluation window: a closed grid over its bounds, used
+to zoom into a region at high resolution.  Nothing is assumed about the
+fields on its edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +22,6 @@ class Domain2:
     kind: str  # "torus" | "rect"
     n: int
     bounds: tuple[float, float, float, float] = (0.0, TWO_PI, 0.0, TWO_PI)
-    support_margin: bool = True  # rect only: fields must vanish on the edge band
-    margin_cells: int = 2
 
     def __post_init__(self):
         if self.kind not in ("torus", "rect"):
@@ -41,8 +37,8 @@ class Domain2:
         return cls("torus", n)
 
     @classmethod
-    def rect(cls, n: int, bounds, support_margin: bool = True) -> "Domain2":
-        return cls("rect", n, tuple(float(b) for b in bounds), support_margin)
+    def rect(cls, n: int, bounds) -> "Domain2":
+        return cls("rect", n, tuple(float(b) for b in bounds))
 
     @property
     def spacing(self) -> tuple[float, float]:
@@ -75,36 +71,10 @@ class Domain2:
         return np.meshgrid(p, q, indexing="ij")
 
     def integrate(self, values: np.ndarray) -> float:
-        """Integral of a grid sample against dp dq.
-
-        On the torus this is the rectangle rule (spectrally accurate for
-        trigonometric integrands); on a support rectangle it reduces to
-        the same weight since boundary values vanish.
-        """
+        """Integral of a grid sample against dp dq by the rectangle rule,
+        sum * hp * hq.  On the torus it is spectrally accurate for
+        trigonometric integrands; a rectangle's grid includes its edges at
+        full weight, so there it agrees with the trapezoid rule only for
+        integrands that vanish on the edges."""
         hp, hq = self.spacing
-        if self.kind == "rect" and self.support_margin:
-            self.check_support(values)
         return float(np.sum(values) * hp * hq)
-
-    def check_support(self, values: np.ndarray, tol: float = 0.0) -> None:
-        m = self.margin_cells
-        band = np.concatenate(
-            [
-                values[:m, :].ravel(),
-                values[-m:, :].ravel(),
-                values[:, :m].ravel(),
-                values[:, -m:].ravel(),
-            ]
-        )
-        worst = float(np.max(np.abs(band))) if band.size else 0.0
-        if worst > tol:
-            raise PreconditionError(
-                f"field does not vanish on the rectangle margin band (max {worst:.3e})"
-            )
-
-    def same_grid(self, other: "Domain2") -> bool:
-        return (
-            self.kind == other.kind
-            and self.n == other.n
-            and self.bounds == other.bounds
-        )

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv as _csv
 import operator
 from functools import reduce
+from math import factorial
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class DerivedField(JetField):
     def __init__(self, fn, *parents: JetField, lowers: int = 0):
         self.domain = parents[0].domain
         for p in parents[1:]:
-            if not self.domain.same_grid(p.domain):
+            if p.domain != self.domain:
                 raise DomainMismatchError("operands live on different domains")
         self.fn, self.parents, self.lowers = fn, parents, lowers
         self.max_order = min([p.max_order for p in parents]) - lowers
@@ -165,12 +166,11 @@ class AnalyticField(JetField):
     must combine them with jet arithmetic only, so all partials are exact.
     """
 
-    def __init__(self, domain: Domain2, builder, max_order: int = MAX_JET_ORDER, name: str = ""):
+    def __init__(self, domain: Domain2, builder, max_order: int = MAX_JET_ORDER):
         self.domain = domain
         self.builder = builder
         self.max_order = min(max_order, MAX_JET_ORDER)
         self.provenance = "analytic"
-        self.name = name
 
     def _jet(self, order: int, parent_jets: list, pts) -> Jet2:
         P, Q = self.domain.coords() if pts is None else pts
@@ -187,7 +187,7 @@ def univariate_jet(fn, jc: Jet2, axis: str) -> Jet2:
 
 class SampledField(JetField):
     """Grid sample differentiated by 4th-order central differences
-    (periodic wrap on the torus, zero extension on support rectangles)."""
+    (periodic wrap on the torus, zero extension past a rectangle's edges)."""
 
     def __init__(self, domain: Domain2, values: np.ndarray):
         values = np.asarray(values, dtype=float)
@@ -236,8 +236,6 @@ class SampledField(JetField):
     def _jet(self, order: int, parent_jets: list, pts) -> Jet2:
         if pts is not None:
             raise PreconditionError("sampled fields evaluate on their own grid only")
-        from .jets import factorial
-
         coeffs = {}
         for t in range(order + 1):
             for i in range(t + 1):
@@ -250,23 +248,23 @@ class SampledField(JetField):
 
 
 def sin_p(domain: Domain2) -> AnalyticField:
-    return AnalyticField(domain, lambda jp, jq: jet_sin(jp), name="sin(p)")
+    return AnalyticField(domain, lambda jp, jq: jet_sin(jp))
 
 
 def sin_q(domain: Domain2) -> AnalyticField:
-    return AnalyticField(domain, lambda jp, jq: jet_sin(jq), name="sin(q)")
+    return AnalyticField(domain, lambda jp, jq: jet_sin(jq))
 
 
 def zero_field(domain: Domain2) -> AnalyticField:
-    return AnalyticField(domain, lambda jp, jq: jp.scale(0.0), name="0")
+    return AnalyticField(domain, lambda jp, jq: jp.scale(0.0))
 
 
 def coordinate_p(domain: Domain2) -> AnalyticField:
-    return AnalyticField(domain, lambda jp, jq: jp, name="p")
+    return AnalyticField(domain, lambda jp, jq: jp)
 
 
 def coordinate_q(domain: Domain2) -> AnalyticField:
-    return AnalyticField(domain, lambda jp, jq: jq, name="q")
+    return AnalyticField(domain, lambda jp, jq: jq)
 
 
 def trig_polynomial(domain: Domain2, coeffs: np.ndarray, phases_p=None, phases_q=None) -> AnalyticField:
@@ -291,7 +289,7 @@ def trig_polynomial(domain: Domain2, coeffs: np.ndarray, phases_p=None, phases_q
                 out = term if out is None else out + term
         return out if out is not None else jp.scale(0.0)
 
-    return AnalyticField(domain, build, name="trig-poly")
+    return AnalyticField(domain, build)
 
 
 # -- CSV import/export ---------------------------------------------------------
@@ -316,14 +314,15 @@ def save_field_csv(values: np.ndarray, domain: Domain2, path) -> None:
 
 def load_field_csv(path) -> SampledField:
     """The sampled field of a CSV written by save_field_csv; a malformed
-    file is refused with a PreconditionError naming it."""
+    file, or one whose h is not its grid's spacing, is refused with a
+    PreconditionError naming it."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         rows = list(_csv.reader(fh))
     try:
         header, meta, *body = rows
         if header[:3] != ["n", "h", "kind"]:
             raise PreconditionError("bad header")
-        n, kind = int(meta[0]), meta[2]
+        n, h, kind = int(meta[0]), float(meta[1]), meta[2]
         values = np.asarray([list(map(float, row)) for row in body if row], dtype=float)
         if values.shape != (n, n):
             raise PreconditionError(f"body is {values.shape}, expected ({n}, {n})")
@@ -331,9 +330,12 @@ def load_field_csv(path) -> SampledField:
             domain = Domain2.torus(n)
         elif kind.startswith("rect:"):
             bounds = tuple(float(x) for x in kind.split(":")[1:])
-            domain = Domain2.rect(n, bounds, support_margin=False)
+            domain = Domain2.rect(n, bounds)
         else:
             raise PreconditionError(f"unknown domain kind {kind!r}")
+        spacing = domain.spacing[0]
+        if not abs(h - spacing) <= 1e-12 * spacing:  # also refuses nan and inf
+            raise PreconditionError(f"h = {h!r} is not the grid spacing {spacing!r}")
         return SampledField(domain, values)
     except (ValueError, IndexError) as e:  # the package's errors are ValueErrors
         raise PreconditionError(f"bad field CSV {path}: {e}") from None

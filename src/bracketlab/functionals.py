@@ -73,9 +73,7 @@ def double_brackets(F: JetField, G: JetField) -> tuple[np.ndarray, np.ndarray]:
     return tuple(values_of([BracketField(P, F), BracketField(P, G)]))
 
 
-def phi_v(
-    v: FunctionalVector, F: JetField, G: JetField, check_nonnegative: bool = True
-) -> float:
+def phi_v(v: FunctionalVector, F: JetField, G: JetField) -> float:
     """v1 max{{F,G},F} - v2 min{{F,G},F} + v3 max{{F,G},G} - v4 min{{F,G},G}.
 
     Brackets have zero mean, so each max is >= 0 and each min <= 0 up to
@@ -89,29 +87,28 @@ def phi_v(
         + v.v3 * float(d2.max())
         - v.v4 * float(d2.min())
     )
-    if check_nonnegative and val < -tol_disc(F.domain):
+    if val < -tol_disc(F.domain):
         raise CheckFailed(f"weighted double-bracket functional came out negative: {val}")
     return val
 
 
-def psi(F: JetField, G: JetField, positivity_tol: float = 1e-9) -> float:
+def psi(F: JetField, G: JetField) -> float:
     """Uniform norm of {{{F,G},F},F} + {{{F,G},G},G} over the grid.
 
-    For compactly supported (or periodic zero-mean) pairs this is strictly
-    positive whenever {F,G} is not identically zero, and that is asserted.
-    On plain window rectangles the compact-support hypothesis is not
-    promised (think F = p, G = q, where the combination vanishes although
-    {p,q} = -1), so the assertion is skipped there.
+    For periodic (or compactly supported) pairs this is strictly positive
+    whenever {F,G} is not identically zero; on the torus that is asserted
+    once max |{F,G}| exceeds 1e-9.  A rectangle is a window with no
+    compact-support promise (think F = p, G = q, where the combination
+    vanishes although {p,q} = -1), so the assertion is skipped there.
     """
     P = BracketField(F, G)
     term1, term2, pvals = values_of(
         [BracketField(BracketField(P, F), F), BracketField(BracketField(P, G), G), P]
     )
     val = float(np.max(np.abs(term1 + term2)))
-    compact_setting = F.domain.kind == "torus" or F.domain.support_margin
     if (
-        compact_setting
-        and float(np.max(np.abs(pvals))) > positivity_tol
+        F.domain.kind == "torus"
+        and float(np.max(np.abs(pvals))) > 1e-9
         and not val > 0.0
     ):
         raise CheckFailed("degree-4 bracket combination vanished although {F,G} does not")
@@ -144,7 +141,6 @@ def kolmogorov_ratio(
     N: int | None = None,
     k: int | None = None,
     m: int | None = None,
-    bracket_tol: float = 1e-12,
 ) -> dict:
     """Oscillation of an iterated ad-power bracket and its ratio against
     the ||{F,G}||-power scaling.
@@ -175,7 +171,7 @@ def kolmogorov_ratio(
         [BracketField(F, G), F, G, iterated_bracket(word, F, G)]
     )
     pnorm = float(np.max(np.abs(pvals)))
-    if pnorm <= bracket_tol:
+    if pnorm <= 1e-12:
         raise PreconditionError("kolmogorov_ratio requires {F,G} not identically zero")
     fnorm, gnorm = float(np.max(np.abs(fvals))), float(np.max(np.abs(gvals)))
     osc = oscillation(wvals)
@@ -186,9 +182,7 @@ def kolmogorov_ratio(
     return {"form": "adH^m G", "k": k, "m": m, "osc_value": osc, "ratio": ratio}
 
 
-def integral_identity_check(
-    P: JetField, Q: JetField, R: JetField, tol: float = DEFAULT_TOL_QUAD
-) -> dict:
+def integral_identity_check(P: JetField, Q: JetField, R: JetField) -> dict:
     """Integration-by-parts identity int {P,Q} R = int {R,P} Q."""
     dom = P.domain
     pq, rvals, rp, qvals, pvals = values_of([BracketField(P, Q), R, BracketField(R, P), Q, P])
@@ -201,10 +195,10 @@ def integral_identity_check(
         1e-300,
     )
     rel_err = abs(lhs - rhs) / scale
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel_err, "pass": rel_err <= tol}
+    return {"lhs": lhs, "rhs": rhs, "rel_err": rel_err, "pass": rel_err <= DEFAULT_TOL_QUAD}
 
 
-def squared_bracket_identity_check(F: JetField, G: JetField, tol: float = DEFAULT_TOL_QUAD) -> dict:
+def squared_bracket_identity_check(F: JetField, G: JetField) -> dict:
     """int I(F,G) {F,G} = -int ({{F,G},F}^2 + {{F,G},G}^2) with
     I = {{{F,G},F},F} + {{{F,G},G},G}."""
     dom = F.domain
@@ -216,17 +210,17 @@ def squared_bracket_identity_check(F: JetField, G: JetField, tol: float = DEFAUL
     rhs = -dom.integrate(v1**2 + v2**2)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     rel_err = abs(lhs - rhs) / scale
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel_err, "pass": rel_err <= tol}
+    return {"lhs": lhs, "rhs": rhs, "rel_err": rel_err, "pass": rel_err <= DEFAULT_TOL_QUAD}
 
 
-def zero_mean_check(F: JetField, G: JetField, tol: float = DEFAULT_TOL_QUAD) -> dict:
+def zero_mean_check(F: JetField, G: JetField) -> dict:
     """The mean of a Poisson bracket vanishes."""
     dom = F.domain
     vals = BracketField(F, G).values()
     integral = dom.integrate(vals)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     resid = abs(integral) / scale
-    return {"integral": integral, "residual": resid, "pass": resid <= tol}
+    return {"integral": integral, "residual": resid, "pass": resid <= DEFAULT_TOL_QUAD}
 
 
 def symmetry_check(
@@ -234,7 +228,6 @@ def symmetry_check(
     F: JetField,
     G: JetField,
     element: str | tuple[float, float],
-    rel_tol: float = DEFAULT_TOL_SYMMETRY,
 ) -> dict:
     """Dihedral and scaling identities of Phi^v, as same-grid evaluations.
 
@@ -260,4 +253,5 @@ def symmetry_check(
     else:
         raise PreconditionError(f"unknown symmetry element {element!r}")
     err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return {"element": str(element), "lhs": lhs, "rhs": rhs, "rel_err": err, "pass": err <= rel_tol}
+    return {"element": str(element), "lhs": lhs, "rhs": rhs, "rel_err": err,
+            "pass": err <= DEFAULT_TOL_SYMMETRY}

@@ -13,14 +13,9 @@ fields are computed without differentiation noise.
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
-
-
-def factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _triangle(order: int) -> list[tuple[int, int]]:

@@ -64,10 +64,6 @@ class LiePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        """Largest degree present (0 for the zero element)."""
-        return max((len(w) for w in self.terms), default=0)
-
     def degrees(self) -> set[int]:
         return {len(w) for w in self.terms}
 

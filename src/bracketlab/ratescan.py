@@ -54,11 +54,8 @@ class OscillatoryFamily:
 
     name = "oscillatory"
 
-    def __init__(self, lambda_ladder=(0.5, 1.0, 2.0)):
-        self.lambda_ladder = lambda_ladder
-
     def sweep(self, eps: float) -> list[np.ndarray]:
-        lams = list(self.lambda_ladder)
+        lams = [0.5, 1.0, 2.0]
         lams += [c * eps**ex for ex in (-0.25, -1.0 / 3.0, -0.5) for c in (1.0, 2.0)]
         phases = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
         return [np.array([np.log(lam), pf, pf, 1.0]) for lam in lams for pf in phases]
@@ -107,14 +104,14 @@ class RandomFourierFamily:
     is the max of |s| on an oversampled torus grid, computed by the same
     trig_polynomial builder that forms the member, divided by an
     Ehlich-Zeller aliasing guard; the scale f eps / bound is folded into
-    the coefficients."""
+    the coefficients.  Modes run 1..3 on each axis."""
 
     name = "random-fourier"
+    modes = 3
 
-    def __init__(self, seed: int, n_members: int = 8, modes: int = 3, oversample: int = 512):
+    def __init__(self, seed: int, n_members: int = 8, oversample: int = 512):
         self.seed = int(seed)
         self.n_members = n_members
-        self.modes = modes
         self.oversample = oversample
         self._cache: dict[int, tuple] = {}
 
@@ -316,14 +313,13 @@ def rate_report(
     families: list | None = None,
     budget: int = 400,
     seed: int = 0,
-    psi_value: float | None = None,
 ) -> RateScanReport:
     """Full pipeline: per-eps search, power-law fit, and the consistency
     annotations against the 2/3- and 1/3-law reference curves."""
     eps_grid = [float(e) for e in eps_grid]
     if len(eps_grid) >= 2 and max(eps_grid) / min(eps_grid) < 100.0:
         raise PreconditionError("eps grid should span at least two decades")
-    psi_val = psi_value if psi_value is not None else psi_functional(F, G)
+    psi_val = psi_functional(F, G)
     # built once: a family caches its members, which depend on (seed, index) only
     families = families if families is not None else default_families(seed)
     rows = []
@@ -341,35 +337,28 @@ def rate_report(
         # degenerate pair: the functional cannot be decreased along these
         # families, so there is no power law to fit
         fit = {"skipped": "no positive decreases (degenerate pair)"}
+    if psi_zero and (which == "maxFG" or "skipped" in fit):
         checks["psi_zero"] = True
         checks["two_thirds_reference_skipped"] = True
-        return RateScanReport(
-            which=which, seed=seed, budget=budget, grid_n=F.domain.n,
-            rows=rows, fit=fit, psi=psi_val, checks=checks,
-            metadata={"one_sided": "every best value is an upper bound on the "
-                      "perturbed infimum"},
-        )
-    if which == "maxFG":
-        if psi_zero:
-            checks["psi_zero"] = True
-            checks["two_thirds_reference_skipped"] = True
+    if "skipped" not in fit:
+        if which == "maxFG":
+            if not psi_zero:
+                bound_ok = all(
+                    r["decrease"] <= 5.0 * psi_val ** (1.0 / 3.0) * r["eps"] ** (2.0 / 3.0)
+                    for r in rows
+                )
+                checks["decreases_below_5_psi13_eps23"] = bound_ok
+                checks["exponent_not_below_two_thirds"] = fit["exponent"] >= 0.55
+            checks["strict_decrease_everywhere"] = all(r["decrease"] > 0.0 for r in rows)
         else:
-            bound_ok = all(
-                r["decrease"] <= 5.0 * psi_val ** (1.0 / 3.0) * r["eps"] ** (2.0 / 3.0)
-                for r in rows
+            pos = [(r["eps"], r["decrease"]) for r in rows if r["decrease"] > 0]
+            c13 = max((d / e ** (1.0 / 3.0) for e, d in pos), default=0.0)
+            checks["C13_envelope"] = c13
+            checks["decreases_below_C13_eps13"] = all(
+                d <= c13 * e ** (1.0 / 3.0) * (1.0 + 1e-12) for e, d in pos
             )
-            checks["decreases_below_5_psi13_eps23"] = bound_ok
-            checks["exponent_not_below_two_thirds"] = fit["exponent"] >= 0.55
-        checks["strict_decrease_everywhere"] = all(r["decrease"] > 0.0 for r in rows)
-    else:
-        pos = [(r["eps"], r["decrease"]) for r in rows if r["decrease"] > 0]
-        c13 = max((d / e ** (1.0 / 3.0) for e, d in pos), default=0.0)
-        checks["C13_envelope"] = c13
-        checks["decreases_below_C13_eps13"] = all(
-            d <= c13 * e ** (1.0 / 3.0) * (1.0 + 1e-12) for e, d in pos
-        )
-        checks["exponent_at_least_one_third"] = fit["exponent"] >= 1.0 / 3.0 - 0.05
-    checks["observed_exponent_position"] = _position(fit["exponent"])
+            checks["exponent_at_least_one_third"] = fit["exponent"] >= 1.0 / 3.0 - 0.05
+        checks["observed_exponent_position"] = _position(fit["exponent"])
 
     return RateScanReport(
         which=which,

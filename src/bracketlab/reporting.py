@@ -22,7 +22,7 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def canonical_json(obj) -> str:
     """Deterministic JSON text for the supported value tree."""
     if obj is None:
         return "null"

@@ -83,9 +83,8 @@ def kappa_search(
     bound: float = R_BOUND,
     alpha0: float = float(ALPHA0),
     sweep_resolution: float = 1e-5,
-    bisect_tol: float = 1e-8,
 ) -> float:
-    """Largest half-width kappa (on a bisection grid) such that
+    """Largest half-width kappa (bisected to 1e-8) such that
     max_z |r(alpha, gamma, z)| < bound for every alpha in
     [alpha0 - kappa, alpha0 + kappa], swept at the given resolution."""
     if not sweep_resolution > 0:
@@ -106,7 +105,7 @@ def kappa_search(
         lo, hi = hi, hi * 2.0
         if hi > 1.0:
             return lo
-    while hi - lo > bisect_tol:
+    while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -115,17 +114,13 @@ def kappa_search(
     return lo
 
 
-def r_rectangle_scan(kappa: float, gamma: float = float(GAMMA), resolution: float = 1e-4,
+def r_rectangle_scan(kappa: float, gamma: float = float(GAMMA),
                      alpha0: float = float(ALPHA0), bound: float = R_BOUND) -> dict:
-    """Scan |r| over [alpha0-kappa, alpha0+kappa] x [-1, 1]; pass if max |r| < bound."""
-    na = max(3, int(np.ceil(2 * kappa / resolution)) + 1)
-    nz = int(np.ceil(2 / resolution)) + 1
+    """Max of |r| over [alpha0-kappa, alpha0+kappa] x [-1, 1]: exact in z
+    (r_max_abs), swept in alpha at resolution 1e-4; pass if it is < bound."""
+    na = max(3, int(np.ceil(2 * kappa / 1e-4)) + 1)
     alphas = np.linspace(alpha0 - kappa, alpha0 + kappa, na)
-    zs = np.linspace(-1.0, 1.0, nz)
-    worst = 0.0
-    for a in alphas:
-        worst = max(worst, float(np.max(np.abs(r_eval(a, gamma, zs)))))
-        worst = max(worst, float(r_max_abs(a, gamma)))
+    worst = float(np.max(r_max_abs(alphas, gamma)))
     return {"max_abs_r": worst, "pass": worst < bound}
 
 
@@ -150,7 +145,6 @@ class WitnessConfig:
     spike_blend: Fraction = Fraction(7, 20000)
     spike_plateau: Fraction = Fraction(7, 20000)
     a_start: Fraction = Fraction(11, 10)
-    kappa: float | None = None
     window_margin: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
@@ -353,18 +347,16 @@ class WitnessFields:
         p0, p1 = -0.5, 13.5
         q0 = float(cfg.c1 - cfg.window_margin)
         q1 = float(cfg.c4 + cfg.window_margin)
-        return Domain2.rect(n, (p0, p1, q0, q1), support_margin=False)
+        return Domain2.rect(n, (p0, p1, q0, q1))
 
     # -- fields ------------------------------------------------------------
 
     def field_F(self, domain: Domain2) -> AnalyticField:
-        return AnalyticField(domain, lambda jp, jq: univariate_jet(self.u.eval_derivs, jp, "p"),
-                             name="u(p)")
+        return AnalyticField(domain, lambda jp, jq: univariate_jet(self.u.eval_derivs, jp, "p"))
 
     def field_G(self, domain: Domain2) -> AnalyticField:
         return AnalyticField(
-            domain, lambda jp, jq: univariate_jet(self.v.eval_derivs, jq, "q").scale(-1.0),
-            name="-v(q)",
+            domain, lambda jp, jq: univariate_jet(self.v.eval_derivs, jq, "q").scale(-1.0)
         )
 
     def field_FN(self, domain: Domain2, N: int) -> AnalyticField:
@@ -376,7 +368,7 @@ class WitnessFields:
             aj = univariate_jet(self.a.eval_derivs, jq, "q")
             return uj + (aj * jet_sin(uj.scale(float(N)))).scale(1.0 / N)
 
-        return AnalyticField(domain, build, name=f"F_{N}")
+        return AnalyticField(domain, build)
 
     def field_R(self, domain: Domain2, N: int) -> AnalyticField:
         def build(jp: Jet2, jq: Jet2) -> Jet2:
@@ -395,13 +387,12 @@ class WitnessFields:
 
         # R reads a' and w', so its order-m jet needs order m+1 of a, whose
         # log core carries order 4
-        return AnalyticField(domain, build, max_order=3, name=f"R (N={N})")
+        return AnalyticField(domain, build, max_order=3)
 
     def field_uprime_sq(self, domain: Domain2) -> AnalyticField:
         return AnalyticField(
             domain,
             lambda jp, jq: (lambda j: j * j)(univariate_jet(self.u_prime.eval_derivs, jp, "p")),
-            name="u'(p)^2",
         )
 
     # -- serialization -------------------------------------------------------
@@ -427,7 +418,7 @@ class WitnessFields:
 def build_witness(cfg: WitnessConfig | None = None, check: bool = True) -> WitnessFields:
     """Construct all profiles and (optionally) certify every side condition."""
     cfg = cfg or WitnessConfig()
-    kappa = cfg.kappa if cfg.kappa is not None else kappa_search()
+    kappa = kappa_search()
     u_prime = _build_u_profile()
     u = u_prime.antiderivative(Fraction(0))
     w_prime, neg_len = _build_w_profile(cfg)
@@ -463,10 +454,10 @@ def build_witness(cfg: WitnessConfig | None = None, check: bool = True) -> Witne
 # -- invariant certification -----------------------------------------------------
 
 
-def _fine_axis(poly: PiecewisePoly, per_piece: int = 129) -> np.ndarray:
+def _fine_axis(poly: PiecewisePoly) -> np.ndarray:
     pts = []
     for p in poly.pieces:
-        pts.append(np.linspace(float(p.x0), float(p.x1), per_piece))
+        pts.append(np.linspace(float(p.x0), float(p.x1), 129))
     return np.unique(np.concatenate(pts))
 
 
@@ -557,10 +548,9 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
 # -- R bound and the main verification --------------------------------------------
 
 
-def _grid_values_chunked(
-    fields: list[JetField], domain: Domain2, chunk: int = 128
-) -> list[np.ndarray]:
+def _grid_values_chunked(fields: list[JetField], domain: Domain2) -> list[np.ndarray]:
     # rows of p against all of q: a bracket tree's n^2 temporaries stay chunk x n
+    chunk = 128
     p, q = domain.coords()
     out = [np.empty((domain.n, domain.n)) for _ in fields]
     for i0 in range(0, domain.n, chunk):
@@ -725,16 +715,13 @@ def cutoff_witness(
     phi_q = plateau_bump(plateau[2], plateau[3], margin)
     pad = margin + 2.0
     dom = Domain2.rect(
-        n,
-        (plateau[0] - pad, plateau[1] + pad, plateau[2] - pad, plateau[3] + pad),
-        support_margin=False,
+        n, (plateau[0] - pad, plateau[1] + pad, plateau[2] - pad, plateau[3] + pad)
     )
 
     phi = AnalyticField(
         dom,
         lambda jp, jq: univariate_jet(phi_p.eval_derivs, jp, "p")
         * univariate_jet(phi_q.eval_derivs, jq, "q"),
-        name="phi",
     )
     F = fields.field_F(dom)
     G = fields.field_G(dom)

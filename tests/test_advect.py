@@ -21,7 +21,7 @@ def test_zero_time_is_identity(torus128):
 
 def test_linear_flow_oracle():
     # H = p on a rectangle: sgrad p = (0, 1), so K o flow_t = f(q + t)
-    dom = Domain2.rect(64, (-2, 2, -2, 2), support_margin=False)
+    dom = Domain2.rect(64, (-2, 2, -2, 2))
     from bracketlab.fields import coordinate_p
 
     H = coordinate_p(dom)
@@ -31,14 +31,6 @@ def test_linear_flow_oracle():
     _, Q = dom.grid()
     assert out.provenance == "sampled"
     assert np.max(np.abs(out.values() - np.sin(Q + t))) < 1e-8
-
-
-def test_trajectory_escape_detected_on_support_rect():
-    dom = Domain2.rect(32, (0, 1, 0, 1), support_margin=True)
-    from bracketlab.fields import coordinate_p
-
-    with pytest.raises(PreconditionError):
-        advect(coordinate_p(dom), coordinate_p(dom), 2.0, 8)
 
 
 def test_step_minimum():

@@ -4,7 +4,7 @@ import sympy as sp
 
 from oracles import P_SYM, Q_SYM, sym_bracket, sym_grid_values
 
-from bracketlab.brackets import BracketField, BracketWord, iterated_bracket, poisson
+from bracketlab.brackets import BracketField, BracketWord, iterated_bracket
 from bracketlab.domain import Domain2
 from bracketlab.errors import BoundsError, PreconditionError
 from bracketlab.fields import AnalyticField, coordinate_p, coordinate_q, sin_p, sin_q, trig_polynomial
@@ -12,8 +12,8 @@ from bracketlab.jets import jet_sin
 
 
 def test_coordinate_bracket_is_minus_one():
-    dom = Domain2.rect(64, (0, 1, 0, 1), support_margin=False)
-    b = poisson(coordinate_p(dom), coordinate_q(dom))
+    dom = Domain2.rect(64, (0, 1, 0, 1))
+    b = BracketField(coordinate_p(dom), coordinate_q(dom))
     assert np.allclose(b.values(), -1.0)
 
 
@@ -100,7 +100,7 @@ def test_letter_count_cap(sin_pair):
 def test_poisson_output_order_cap(sin_pair):
     F, G = sin_pair
     with pytest.raises(BoundsError):
-        poisson(F, G, jet_order_out=4)
+        BracketField(F, G).jet(4)
 
 
 def test_leibniz_rule(torus128, rng):

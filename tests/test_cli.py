@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from math import pi
 
 import pytest
 
@@ -150,7 +151,7 @@ def test_out_of_range_value_names_its_option(tmp_path, capsys, args, named):
     assert named in capsys.readouterr().err
 
 
-def _field_csv(meta="16,0.39,torus", first="0.5", cell="0.5"):
+def _field_csv(meta="16,%.17g,torus" % (2 * pi / 16), first="0.5", cell="0.5"):
     cells = [first] + [cell] * 255
     body = [",".join(cells[i:i + 16]) for i in range(0, 256, 16)]
     return "\n".join(["n,h,kind", meta, *body]) + "\n"
@@ -166,9 +167,11 @@ def _field_csv(meta="16,0.39,torus", first="0.5", cell="0.5"):
         _field_csv(meta="16,0.1,rect:0:1"),
         _field_csv(meta="16,0.1,rect:0:1:a:2"),
         _field_csv(first="nan", cell="nan"),
+        _field_csv(meta="16,5,torus"),
+        _field_csv(meta="16,0.5,rect:0:1:0:1"),
     ],
     ids=["n-not-integer", "empty", "header-only", "cell-text", "rect-two-bounds",
-         "rect-bound-text", "all-nan"],
+         "rect-bound-text", "all-nan", "torus-h-not-spacing", "rect-h-not-spacing"],
 )
 def test_malformed_field_csv_exit_2(tmp_path, capsys, text):
     path = tmp_path / "X.csv"

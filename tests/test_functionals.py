@@ -63,7 +63,7 @@ def test_psi_zero_on_zero_field(torus128):
 
 
 def test_psi_zero_for_coordinate_pair():
-    dom = Domain2.rect(64, (0, 1, 0, 1), support_margin=False)
+    dom = Domain2.rect(64, (0, 1, 0, 1))
     from bracketlab.fields import coordinate_p, coordinate_q
 
     assert psi(coordinate_p(dom), coordinate_q(dom)) == pytest.approx(0.0, abs=1e-12)

@@ -147,6 +147,9 @@ def test_rate_report_commuting_pair_flags_psi_zero():
     G = AnalyticField(dom, lambda jp, jq: jet_cos(jp))
     rep = rate_report(F, G, np.logspace(-3, -1, 5), which="maxFG", budget=40, seed=0)
     assert rep.checks.get("psi_zero") and rep.checks.get("two_thirds_reference_skipped")
+    # a degenerate pair is reported with the same one-sidedness statement
+    full = rate_report(sin_p(dom), sin_q(dom), np.logspace(-3, -1, 5), budget=40, seed=0)
+    assert "exponent" in full.fit and rep.metadata == full.metadata
 
 
 def test_double_functional_decreases_found(pair):

@@ -43,7 +43,7 @@ def wf():
 
 
 def test_one_variable_field_values_are_full_and_contiguous():
-    for dom in (Domain2.torus(64), Domain2.rect(48, (-1.0, 2.0, 0.5, 3.0), support_margin=False)):
+    for dom in (Domain2.torus(64), Domain2.rect(48, (-1.0, 2.0, 0.5, 3.0))):
         F = sin_p(dom)
         assert F.jet(0).value.shape == (dom.n, 1)
         vals = F.values()
