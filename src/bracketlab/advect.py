@@ -15,6 +15,7 @@ from .brackets import BracketField
 from .errors import PreconditionError
 from .fields import JetField, SampledField, ScaledField, values_of
 from .functionals import DEFAULT_TOL_FLOW
+from .reporting import check
 
 
 def _velocity(H: JetField, P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,7 +57,8 @@ def y_bound_check(
 
     Builds Y = G~ + F~ o phi_{G~} - G~ o phi_{-F~} - F~ (with F~ = sF,
     G~ = tG and phi the time-1 flows) via advection and checks
-    max Y <= (max {{F~,G~},G~} + max {{F~,G~},F~}) / 2 + DEFAULT_TOL_FLOW.
+    max Y <= (max {{F~,G~},G~} + max {{F~,G~},F~}) / 2 + DEFAULT_TOL_FLOW,
+    as a sampled check record.
     """
     Fs = ScaledField(F, s)
     Gt = ScaledField(G, t)
@@ -68,7 +70,5 @@ def y_bound_check(
         - advect(Fs, Gt, -1.0, steps).values()
         - f_vals
     )
-    max_y = float(y.max())
     bound = 0.5 * (float(d_g.max()) + float(d_f.max()))
-    slack = bound - max_y
-    return {"maxY": max_y, "bound": bound, "slack": slack, "pass": slack >= -DEFAULT_TOL_FLOW}
+    return check(float(y.max()), bound, "<=", "sampled", DEFAULT_TOL_FLOW)

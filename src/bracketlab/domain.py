@@ -71,10 +71,11 @@ class Domain2:
         return np.meshgrid(p, q, indexing="ij")
 
     def integrate(self, values: np.ndarray) -> float:
-        """Integral of a grid sample against dp dq by the rectangle rule,
-        sum * hp * hq.  On the torus it is spectrally accurate for
-        trigonometric integrands; a rectangle's grid includes its edges at
-        full weight, so there it agrees with the trapezoid rule only for
-        integrands that vanish on the edges."""
+        """Integral of a grid sample over the torus, sum * hp * hq, which is
+        spectrally accurate for trigonometric integrands.  A rectangle is
+        refused: its grid carries both edges, and the identities that
+        integrate drop boundary terms that vanish only on the torus."""
+        if self.kind != "torus":
+            raise PreconditionError("integrals are taken on the torus only, not on a rectangle")
         hp, hq = self.spacing
         return float(np.sum(values) * hp * hq)

@@ -24,6 +24,7 @@ from .flows import (
     TAU,
 )
 from .liepoly import LiePoly, bracket
+from .reporting import check
 
 DEFAULT_TRUNCATION = 5
 
@@ -64,15 +65,25 @@ class ExpansionReport:
     word: str
     truncation: int
     series: LieSeries
-    match: bool
+    conditions: dict  # name -> bool, each an exact rational comparison
     details: dict = field(default_factory=dict)
+
+    @property
+    def checks(self) -> dict:
+        failed = sum(not ok for ok in self.conditions.values())
+        return {"match": check(failed, 0, "==", "certified")}
+
+    @property
+    def match(self) -> bool:
+        return self.checks["match"]["pass"]
 
     def to_json(self) -> dict:
         return {
             "word": self.word,
             "T": self.truncation,
             "coefficients": self.series.to_json(),
-            "match": self.match,
+            "conditions": self.conditions,
+            "checks": self.checks,
             "details": self.details,
         }
 
@@ -89,20 +100,18 @@ def verify_symmetrized_expansion(truncation: int = DEFAULT_TRUNCATION) -> Expans
         bracket(bracket(P, F, md), F, md) + bracket(bracket(P, G, md), G, md)
     ).scale(Fraction(1, 6))
 
-    checks = {
-        "tau0_zero": series.coefficient(0).is_zero(),
-        "tau1_is_2P": series.coefficient(1) == expected_tau1,
-        "tau2_zero": series.coefficient(2).is_zero(),
-        "tau3_is_I_over_6": series.coefficient(3) == expected_tau3,
-        "tau3_pure_degree_4": series.coefficient(3).degrees() <= {4},
-    }
     return ExpansionReport(
         word="phi_{t(F+G)/2} f_{-t} g_{-t} f_t g_t phi_{-t(F+G)/2}",
         truncation=truncation,
         series=series,
-        match=all(checks.values()),
+        conditions={
+            "tau0_zero": series.coefficient(0).is_zero(),
+            "tau1_is_2P": series.coefficient(1) == expected_tau1,
+            "tau2_zero": series.coefficient(2).is_zero(),
+            "tau3_is_I_over_6": series.coefficient(3) == expected_tau3,
+            "tau3_pure_degree_4": series.coefficient(3).degrees() <= {4},
+        },
         details={
-            "checks": checks,
             "expected_tau1": expected_tau1.to_json(),
             "expected_tau3": expected_tau3.to_json(),
             "tau4_terms": series.coefficient(4).to_json() if truncation >= 4 else [],
@@ -121,20 +130,18 @@ def verify_conjugated_expansion(truncation: int = DEFAULT_TRUNCATION) -> Expansi
     expected_tau2 = (bracket(P, F, md) + bracket(P, G, md)).scale(Fraction(3, 2))
     q_poly = series.coefficient(4) if truncation >= 4 else LiePoly.zero(md)
 
-    checks = {
-        "tau0_zero": series.coefficient(0).is_zero(),
-        "tau1_zero": series.coefficient(1).is_zero(),
-        "tau2_is_3(A+B)": series.coefficient(2) == expected_tau2,
-        "tau3_zero": series.coefficient(3).is_zero(),
-        "tau4_pure_degree_5": q_poly.degrees() <= {5},
-    }
     return ExpansionReport(
         word="phi_{t(F-G)/6} [phi_{-tF} phi_{-tG}, phi_{t(F+G)}] phi_{-t(F-G)/6}",
         truncation=truncation,
         series=series,
-        match=all(checks.values()),
+        conditions={
+            "tau0_zero": series.coefficient(0).is_zero(),
+            "tau1_zero": series.coefficient(1).is_zero(),
+            "tau2_is_3(A+B)": series.coefficient(2) == expected_tau2,
+            "tau3_zero": series.coefficient(3).is_zero(),
+            "tau4_pure_degree_5": q_poly.degrees() <= {5},
+        },
         details={
-            "checks": checks,
             "expected_tau2": expected_tau2.to_json(),
             "q_terms": q_poly.to_json(),
         },

@@ -168,19 +168,6 @@ def _theta_poly(X: LiePoly, s: Fraction, H: LiePoly, max_degree: int) -> LiePoly
     return out
 
 
-def fixed_pullback(word: FlowWord, H: LiePoly, max_degree: int | None = None) -> LiePoly:
-    """Pi^c(H) = H o c^{-1} for a tau-independent word c, applied exactly."""
-    factors = _factors(word)
-    if any(any(c[1:]) for _, c in factors):
-        raise ValueError("fixed_pullback needs a tau-independent word")
-    if max_degree is None:
-        max_degree = H.max_degree
-    out = H
-    for X, c in reversed(factors):
-        out = _theta_poly(X, -c[0] if c else Fraction(0), out, max_degree)
-    return out
-
-
 def _pullback_coeffs(
     gen: list[LiePoly], seed: LiePoly, upto: int, max_degree: int
 ) -> list[LiePoly]:

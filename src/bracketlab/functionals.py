@@ -15,6 +15,7 @@ import numpy as np
 from .brackets import BracketField, BracketWord, iterated_bracket
 from .errors import CheckFailed, PreconditionError
 from .fields import JetField, ScaledField, values_of
+from .reporting import check
 
 DEFAULT_TOL_QUAD = 1e-6
 DEFAULT_TOL_FLOW = 1e-4
@@ -121,18 +122,17 @@ def oscillation(values: np.ndarray) -> float:
 
 def lh_check(F: JetField, G: JetField, tol: float | None = None) -> dict:
     """Landau-Hadamard bound for the double bracket:
-    max{{F,G},F} >= ||{F,G}||^2 / (2 osc G), reported with its margin."""
+    max{{F,G},F} >= ||{F,G}||^2 / (2 osc G), up to tol (default tol_disc),
+    as a sampled check record: value is the left side, bound the right."""
     P = BracketField(F, G)
     gvals, pvals, dvals = values_of([G, P, BracketField(P, F)])
     if float(np.max(np.abs(gvals))) == 0.0:
         raise PreconditionError("lh_check requires G not identically zero")
     if tol is None:
         tol = tol_disc(F.domain)
-    lhs = float(dvals.max())
     pnorm = float(np.max(np.abs(pvals)))
     rhs = pnorm**2 / (2.0 * oscillation(gvals))
-    margin = lhs - rhs
-    return {"lhs": lhs, "rhs": rhs, "margin": margin, "pass": margin >= -tol}
+    return check(float(dvals.max()), rhs, ">=", "sampled", tol)
 
 
 def kolmogorov_ratio(
@@ -195,7 +195,8 @@ def integral_identity_check(P: JetField, Q: JetField, R: JetField) -> dict:
         1e-300,
     )
     rel_err = abs(lhs - rhs) / scale
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel_err, "pass": rel_err <= DEFAULT_TOL_QUAD}
+    return {"lhs": lhs, "rhs": rhs,
+            "checks": {"identity": check(rel_err, DEFAULT_TOL_QUAD, "<=", "sampled")}}
 
 
 def squared_bracket_identity_check(F: JetField, G: JetField) -> dict:
@@ -210,7 +211,8 @@ def squared_bracket_identity_check(F: JetField, G: JetField) -> dict:
     rhs = -dom.integrate(v1**2 + v2**2)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     rel_err = abs(lhs - rhs) / scale
-    return {"lhs": lhs, "rhs": rhs, "rel_err": rel_err, "pass": rel_err <= DEFAULT_TOL_QUAD}
+    return {"lhs": lhs, "rhs": rhs,
+            "checks": {"identity": check(rel_err, DEFAULT_TOL_QUAD, "<=", "sampled")}}
 
 
 def zero_mean_check(F: JetField, G: JetField) -> dict:
@@ -220,7 +222,8 @@ def zero_mean_check(F: JetField, G: JetField) -> dict:
     integral = dom.integrate(vals)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     resid = abs(integral) / scale
-    return {"integral": integral, "residual": resid, "pass": resid <= DEFAULT_TOL_QUAD}
+    return {"integral": integral,
+            "checks": {"zero_mean": check(resid, DEFAULT_TOL_QUAD, "<=", "sampled")}}
 
 
 def symmetry_check(
@@ -253,5 +256,6 @@ def symmetry_check(
     else:
         raise PreconditionError(f"unknown symmetry element {element!r}")
     err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
-    return {"element": str(element), "lhs": lhs, "rhs": rhs, "rel_err": err,
-            "pass": err <= DEFAULT_TOL_SYMMETRY}
+    name = element if isinstance(element, str) else "scale"
+    return {"element": str(element), "lhs": lhs, "rhs": rhs,
+            "checks": {name: check(err, DEFAULT_TOL_SYMMETRY, "<=", "sampled")}}

@@ -133,14 +133,12 @@ def _basis_pair_bracket(u: str, v: str) -> tuple[tuple[str, Fraction], ...]:
     return tuple(sorted(rewritten.items()))
 
 
-def bracket(p: LiePoly, q: LiePoly, max_degree: int | None = None) -> LiePoly:
+def bracket(p: LiePoly, q: LiePoly, max_degree: int) -> LiePoly:
     """Lie bracket of two basis-form elements, truncated at max_degree.
 
     Bilinear and antisymmetric by construction; each basis pair is
     rewritten through the associative envelope and memoized.
     """
-    if max_degree is None:
-        max_degree = min(p.max_degree, q.max_degree)
     out: dict[str, Fraction] = {}
     for u, cu in p.terms.items():
         for v, cv in q.terms.items():

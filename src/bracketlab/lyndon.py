@@ -63,32 +63,6 @@ def lyndon_words(max_degree: int) -> list[str]:
     return out
 
 
-def _mobius(n: int) -> int:
-    m, p, count = n, 2, 0
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            count += 1
-        p += 1
-    if m > 1:
-        count += 1
-    return -1 if count % 2 else 1
-
-
-def witt_number(degree: int, letters: int = 2) -> int:
-    """Dimension of the degree-d homogeneous part of the free Lie algebra
-    on the given number of letters."""
-    if degree < 1:
-        raise BoundsError(f"degree must be >= 1, got {degree}")
-    total = 0
-    for e in range(1, degree + 1):
-        if degree % e == 0:
-            total += _mobius(degree // e) * letters**e
-    return total // degree
-
-
 def standard_factorization(word: str) -> tuple[str, str]:
     """Right standard factorization of a Lyndon word of length >= 2.
 

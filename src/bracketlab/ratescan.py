@@ -1,10 +1,11 @@
 """Empirical profiling of the perturbation convergence rate.
 
 For a functional Phi and a pair (F, G), the perturbed infimum over the
-eps-ball in the uniform norm is upper-bounded by searching parametric
-perturbation families.  Every reported best value is therefore an upper
-bound on the infimum, and every reported decrease a lower bound on the
-true decrease -- that one-sidedness is part of the report.  The sharp
+eps-ball in the uniform norm is probed by searching parametric
+perturbation families.  Each functional value is a maximum over grid
+nodes, which is a lower bound on the member's sup, so a reported best
+value and decrease are sampled at the grid size and bound the infimum and
+the true decrease in no known direction; the report says so.  The sharp
 perturbations are not known in closed form; the family designs below are
 heuristics seeded near the theoretically balanced oscillation scales
 eps^{-1/4} .. eps^{-1/2}, plus O(1) frequencies whose soft-rescaling
@@ -24,6 +25,7 @@ from .jets import jet_sin
 from .errors import PreconditionError
 from .fields import AnalyticField, JetField, trig_polynomial, univariate_jet
 from .functionals import double_brackets, psi as psi_functional
+from .reporting import check
 
 REFERENCE_EXPONENTS = (1.0 / 3.0, 0.5, 2.0 / 3.0)
 
@@ -102,9 +104,12 @@ class RandomFourierFamily:
     """F' = F + f eps s with s a random trigonometric polynomial of low
     mode count, scaled so its true sup norm is certified <= 1.  The bound
     is the max of |s| on an oversampled torus grid, computed by the same
-    trig_polynomial builder that forms the member, divided by an
-    Ehlich-Zeller aliasing guard; the scale f eps / bound is folded into
-    the coefficients.  Modes run 1..3 on each axis."""
+    trig_polynomial builder that forms the member, divided by the guard
+    cos(pi d / n)^2 for degree d = modes on an n-point grid: every point
+    lies within pi/n of a node on each axis, and by Bernstein-Szego a
+    degree-d polynomial stays above ||s|| cos(d t) at distance t from its
+    maximiser.  The scale f eps / bound is folded into the coefficients.
+    Modes run 1..3 on each axis."""
 
     name = "random-fourier"
     modes = 3
@@ -136,7 +141,7 @@ class RandomFourierFamily:
     def _norm_bound(self, coeffs, phases) -> float:
         n = self.oversample
         vals = trig_polynomial(Domain2.torus(n), coeffs, phases[0], phases[1]).values()
-        guard = np.cos(np.pi * self.modes / (2 * n)) ** 2
+        guard = np.cos(np.pi * self.modes / n) ** 2
         return float(np.max(np.abs(vals))) / guard
 
     def member(self, F: JetField, G: JetField, eps: float, x: np.ndarray):
@@ -186,10 +191,11 @@ def phi_bar_upper(
     budget: int = 400,
     seed: int = 0,
 ) -> dict:
-    """Upper bound on the perturbed infimum of the functional over the
-    eps-ball: coarse sweep over each family's parameter grid, then a
+    """Smallest sampled value of the functional over the family members in
+    the eps-ball: coarse sweep over each family's parameter grid, then a
     Nelder-Mead refinement from the best sweep point.  Deterministic for
-    a fixed seed; the returned value can only over-estimate the infimum."""
+    a fixed seed.  With exact sups this would be an upper bound on the
+    perturbed infimum; grid maxima make it a sampled value."""
     if eps < 0:
         raise PreconditionError("eps must be >= 0")
     if budget < 1:
@@ -338,27 +344,28 @@ def rate_report(
         # families, so there is no power law to fit
         fit = {"skipped": "no positive decreases (degenerate pair)"}
     if psi_zero and (which == "maxFG" or "skipped" in fit):
-        checks["psi_zero"] = True
-        checks["two_thirds_reference_skipped"] = True
+        fit["psi_zero"] = True
+        fit["two_thirds_reference_skipped"] = True
     if "skipped" not in fit:
         if which == "maxFG":
             if not psi_zero:
-                bound_ok = all(
-                    r["decrease"] <= 5.0 * psi_val ** (1.0 / 3.0) * r["eps"] ** (2.0 / 3.0)
-                    for r in rows
+                checks["decreases_below_5_psi13_eps23"] = check(
+                    max(r["decrease"] / (psi_val ** (1.0 / 3.0) * r["eps"] ** (2.0 / 3.0))
+                        for r in rows),
+                    5.0, "<=", "sampled",
                 )
-                checks["decreases_below_5_psi13_eps23"] = bound_ok
-                checks["exponent_not_below_two_thirds"] = fit["exponent"] >= 0.55
-            checks["strict_decrease_everywhere"] = all(r["decrease"] > 0.0 for r in rows)
+                checks["exponent_not_below_two_thirds"] = check(
+                    fit["exponent"], 0.55, ">=", "fitted")
+            checks["strict_decrease_everywhere"] = check(
+                min(r["decrease"] for r in rows), 0.0, ">", "sampled")
         else:
-            pos = [(r["eps"], r["decrease"]) for r in rows if r["decrease"] > 0]
-            c13 = max((d / e ** (1.0 / 3.0) for e, d in pos), default=0.0)
-            checks["C13_envelope"] = c13
-            checks["decreases_below_C13_eps13"] = all(
-                d <= c13 * e ** (1.0 / 3.0) * (1.0 + 1e-12) for e, d in pos
-            )
-            checks["exponent_at_least_one_third"] = fit["exponent"] >= 1.0 / 3.0 - 0.05
-        checks["observed_exponent_position"] = _position(fit["exponent"])
+            fit["C13_envelope"] = c13 = max(
+                r["decrease"] / r["eps"] ** (1.0 / 3.0) for r in rows if r["decrease"] > 0)
+            # c13 is the envelope of these same rows: margin 0 by construction
+            checks["decreases_below_C13_eps13"] = check(c13, c13, "<=", "fitted")
+            checks["exponent_at_least_one_third"] = check(
+                fit["exponent"], 1.0 / 3.0 - 0.05, ">=", "fitted")
+        fit["observed_exponent_position"] = _position(fit["exponent"])
 
     return RateScanReport(
         which=which,
@@ -370,8 +377,9 @@ def rate_report(
         psi=psi_val,
         checks=checks,
         metadata={
-            "one_sided": "every best value is an upper bound on the perturbed infimum; "
-            "every decrease is a lower bound on the true decrease",
+            "one_sided": "every best value and decrease is sampled at grid_n: a maximum "
+            "over grid nodes is a lower bound on a member's sup, so neither bounds the "
+            "perturbed infimum or the true decrease in a known direction",
             "family_design": "heuristic; oscillation scales seeded at eps^{-1/4..-1/2} "
             "plus O(1) soft-rescaling frequencies",
         },

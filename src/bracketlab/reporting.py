@@ -13,6 +13,34 @@ import os
 
 import numpy as np
 
+# margin of "value <sense> bound": positive when there is slack
+_MARGIN = {
+    "<=": lambda v, b: b - v,
+    "<": lambda v, b: b - v,
+    ">=": lambda v, b: v - b,
+    ">": lambda v, b: v - b,
+    "==": lambda v, b: -abs(v - b),
+}
+METHODS = ("certified", "sampled", "fitted", "heuristic")
+
+
+def check(value, bound, sense: str, method: str, tol=0.0) -> dict:
+    """One check, ``value <sense> bound`` up to ``tol``, as a plain record.
+
+    ``method`` says how ``value`` was obtained: *certified* (exact, or a
+    proven bound in the right direction), *sampled* (on grid nodes),
+    *fitted* (from a regression) or *heuristic*.  ``margin`` is positive
+    when there is slack, and the check passes when ``margin >= -tol``
+    (``> -tol`` for a strict sense), so a NaN never passes.  Exact
+    (int or Fraction) inputs are compared exactly and stored as floats.
+    """
+    if sense not in _MARGIN or method not in METHODS:
+        raise ValueError(f"unknown check sense {sense!r} or method {method!r}")
+    margin = _MARGIN[sense](value, bound)
+    passed = margin > -tol if sense in ("<", ">") else margin >= -tol
+    return {"value": float(value), "bound": float(bound), "sense": sense, "method": method,
+            "tol": float(tol), "margin": float(margin), "pass": bool(passed)}
+
 
 def _fmt_float(x: float) -> str:
     if x != x:

@@ -32,6 +32,7 @@ from .errors import CheckFailed, ConstructionError, PreconditionError
 from .fields import AnalyticField, JetField, univariate_jet, values_of
 from .jets import Jet2, jet_cos, jet_log, jet_sin
 from .piecewise import PiecewisePoly, build_profile, table_profile
+from .reporting import check
 
 GAMMA = Fraction(163, 100)  # the fixed ratio -a' w / w' on [c1, c4]
 ALPHA0 = Fraction(11, 10)
@@ -116,12 +117,11 @@ def kappa_search(
 
 def r_rectangle_scan(kappa: float, gamma: float = float(GAMMA),
                      alpha0: float = float(ALPHA0), bound: float = R_BOUND) -> dict:
-    """Max of |r| over [alpha0-kappa, alpha0+kappa] x [-1, 1]: exact in z
-    (r_max_abs), swept in alpha at resolution 1e-4; pass if it is < bound."""
+    """Max of |r| over [alpha0-kappa, alpha0+kappa] x [-1, 1], checked
+    < bound: exact in z (r_max_abs), sampled in alpha at resolution 1e-4."""
     na = max(3, int(np.ceil(2 * kappa / 1e-4)) + 1)
     alphas = np.linspace(alpha0 - kappa, alpha0 + kappa, na)
-    worst = float(np.max(r_max_abs(alphas, gamma)))
-    return {"max_abs_r": worst, "pass": worst < bound}
+    return check(float(np.max(r_max_abs(alphas, gamma))), bound, "<", "sampled")
 
 
 # -- configuration -------------------------------------------------------------
@@ -447,7 +447,6 @@ def build_witness(cfg: WitnessConfig | None = None, check: bool = True) -> Witne
         bad = [k for k, r in report.items() if not r["pass"]]
         if bad:
             raise ConstructionError(f"witness construction violates: {bad}; report={report}")
-        fields.notes["invariants"] = {k: r["value"] for k, r in report.items()}
     return fields
 
 
@@ -462,14 +461,18 @@ def _fine_axis(poly: PiecewisePoly) -> np.ndarray:
 
 
 def check_witness_invariants(fields: WitnessFields) -> dict:
-    """Direct 1-D evaluation of every side condition, on grids refined
-    piece by piece (finer than delta/100 inside the wiggle)."""
+    """Every side condition as a check record.  Junction jumps and the
+    integral of w are exact rationals (certified); the rest is sampled on
+    1-D grids refined piece by piece (finer than delta/100 inside the
+    wiggle)."""
     cfg = fields.cfg
     c1, c2, c3, c4 = (float(cfg.c1), float(cfg.c2), float(cfg.c3), float(cfg.c4))
-    out: dict[str, dict] = {}
 
-    def record(name, value, ok):
-        out[name] = {"value": value, "pass": bool(ok)}
+    def sampled(value, bound, sense):
+        return check(value, bound, sense, "sampled")
+
+    def smooth(poly):  # order-4 jets are continuous: the profiles are C^3 exactly
+        return check(max(poly.junction_jumps(3)), 0, "==", "certified")
 
     q = _fine_axis(fields.w_prime)
     wp = fields.w_prime.eval_derivs(q, 0)[0]
@@ -478,71 +481,38 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
     in_c14 = (q >= c1) & (q <= c4)
     pos_off_c23 = (q >= 0) & ~in_c23
     pos_off_c14 = (q >= 0) & ~in_c14
+    wc2 = fields.w_prime.eval_derivs(np.array([c2]), 0)[0][0]
+    wc3 = fields.w_prime.eval_derivs(np.array([c3]), 0)[0][0]
 
-    record("w_cond_i_max", float(wp[in_c23].max()), wp[in_c23].max() == 1.0)
-    record("w_cond_i_min", float(wp[in_c23].min()), wp[in_c23].min() == -1.0)
-    wc2 = float(fields.w_prime.eval_derivs(np.array([c2]), 0)[0][0])
-    wc3 = float(fields.w_prime.eval_derivs(np.array([c3]), 0)[0][0])
-    record("w_cond_i_at_c2", wc2, abs(wc2 - 0.001) < 1e-15)
-    record("w_cond_i_at_c3", wc3, abs(wc3 + 0.001) < 1e-15)
-    record(
-        "w_cond_ii_range",
-        (float(wv[in_c14].min()), float(wv[in_c14].max())),
-        (wv[in_c14].min() >= 1.0) and (wv[in_c14].max() <= 2.0),
-    )
-    record(
-        "w_cond_iii_slope_off_wiggle",
-        float(np.abs(wp[pos_off_c23]).max()),
-        np.abs(wp[pos_off_c23]).max() <= 0.01,
-    )
-    record(
-        "w_cond_iv_bound_outside",
-        float(np.abs(wv[pos_off_c14]).max()),
-        np.abs(wv[pos_off_c14]).max() <= 3.0,
-    )
-    record("w_cond_v_global_slope", (float(wp.max()), float(wp.min())),
-           wp.max() == 1.0 and wp.min() == -1.0)
-    record("w_cond_vi_integral", float(fields.w.integral()), fields.w.integral() == 0)
-
-    # smoothness: order-4 jets are continuous (profiles are C^3 exactly)
-    jumps_w = fields.w_prime.junction_jumps(3)
-    jumps_u = fields.u_prime.junction_jumps(3)
-    record("w_c4_smooth", [float(j) for j in jumps_w], all(j == 0 for j in jumps_w))
-    record("u_c4_smooth", [float(j) for j in jumps_u], all(j == 0 for j in jumps_u))
-
-    ad = fields.a.eval_derivs(q, 1)
-    av, ap = ad[0], ad[1]
+    av, ap = fields.a.eval_derivs(q, 1)
     lo, hi = float(cfg.a_start) - fields.kappa, float(cfg.a_start) + fields.kappa
-    record(
-        "a_cond_ii_range",
-        (float(av[in_c14].min()), float(av[in_c14].max())),
-        (av[in_c14].min() >= lo) and (av[in_c14].max() <= hi),
-    )
-    record(
-        "a_cond_iii_slope",
-        float(np.abs(ap[pos_off_c14]).max()),
-        np.abs(ap[pos_off_c14]).max() <= 0.03,
-    )
-    record(
-        "a_cond_iii_bound",
-        float(np.abs(av[pos_off_c14]).max()),
-        np.abs(av[pos_off_c14]).max() <= 2.0,
-    )
     core = q[in_c14]
     wd = fields.w.eval_derivs(core, 1)
-    resid = np.abs(
-        fields.a.eval_derivs(core, 1)[1] + float(GAMMA) * wd[1] / wd[0]
-    ).max()
-    record("a_cond_i_ode", float(resid), resid <= 1e-12)
-
-    p = _fine_axis(fields.u_prime)
-    up = fields.u_prime.eval_derivs(p, 0)[0]
-    record("u_slope_peak", (float(up.max()), float(up.min())),
-           up.max() == 1.0 and up.min() == -1.0)
-
-    lam = r_rectangle_scan(fields.kappa)
-    record("lemma_r_rectangle", lam["max_abs_r"], lam["pass"])
-    return out
+    resid = np.abs(fields.a.eval_derivs(core, 1)[1] + float(GAMMA) * wd[1] / wd[0]).max()
+    up = fields.u_prime.eval_derivs(_fine_axis(fields.u_prime), 0)[0]
+    return {
+        "w_cond_i_max": sampled(wp[in_c23].max(), 1.0, "=="),
+        "w_cond_i_min": sampled(wp[in_c23].min(), -1.0, "=="),
+        "w_cond_i_at_c2": check(wc2, 0.001, "==", "sampled", 1e-15),
+        "w_cond_i_at_c3": check(wc3, -0.001, "==", "sampled", 1e-15),
+        "w_cond_ii_min": sampled(wv[in_c14].min(), 1.0, ">="),
+        "w_cond_ii_max": sampled(wv[in_c14].max(), 2.0, "<="),
+        "w_cond_iii_slope_off_wiggle": sampled(np.abs(wp[pos_off_c23]).max(), 0.01, "<="),
+        "w_cond_iv_bound_outside": sampled(np.abs(wv[pos_off_c14]).max(), 3.0, "<="),
+        "w_cond_v_global_slope_max": sampled(wp.max(), 1.0, "=="),
+        "w_cond_v_global_slope_min": sampled(wp.min(), -1.0, "=="),
+        "w_cond_vi_integral": check(fields.w.integral(), 0, "==", "certified"),
+        "w_c4_smooth": smooth(fields.w_prime),
+        "u_c4_smooth": smooth(fields.u_prime),
+        "a_cond_ii_min": sampled(av[in_c14].min(), lo, ">="),
+        "a_cond_ii_max": sampled(av[in_c14].max(), hi, "<="),
+        "a_cond_iii_slope": sampled(np.abs(ap[pos_off_c14]).max(), 0.03, "<="),
+        "a_cond_iii_bound": sampled(np.abs(av[pos_off_c14]).max(), 2.0, "<="),
+        "a_cond_i_ode": sampled(resid, 1e-12, "<="),
+        "u_slope_peak_max": sampled(up.max(), 1.0, "=="),
+        "u_slope_peak_min": sampled(up.min(), -1.0, "=="),
+        "lemma_r_rectangle": r_rectangle_scan(fields.kappa),
+    }
 
 
 # -- R bound and the main verification --------------------------------------------
@@ -560,23 +530,19 @@ def _grid_values_chunked(fields: list[JetField], domain: Domain2) -> list[np.nda
     return out
 
 
-def r_field(
-    fields: WitnessFields, N: int, n: int, raise_on_violation: bool = True
-) -> dict:
-    """Evaluate R on the 2-D window and certify |R| <= 0.99 globally.
+def r_field(fields: WitnessFields, N: int, n: int) -> dict:
+    """Evaluate R on the 2-D window and check |R| <= 0.99 globally.
 
-    Inside the window |R| is evaluated directly; outside, the pointwise
-    bound |w'|(1+|a|)^2 + |a' w|(|a|+1) on a fine 1-D grid covers every
-    (p, q) regardless of the oscillatory factor.
+    Inside the window |R| is sampled on the grid; outside, the pointwise
+    bound |w'|(1+|a|)^2 + |a' w|(|a|+1), sampled on a fine 1-D grid,
+    covers every (p, q) regardless of the oscillatory factor.
     """
     dom = fields.window_domain(n)
     (vals,) = _grid_values_chunked([fields.field_R(dom, N)], dom)
-    return _r_report(fields, N, dom, vals, raise_on_violation)
+    return _r_report(fields, N, dom, vals)
 
 
-def _r_report(
-    fields: WitnessFields, N: int, dom: Domain2, vals: np.ndarray, raise_on_violation: bool
-) -> dict:
+def _r_report(fields: WitnessFields, N: int, dom: Domain2, vals: np.ndarray) -> dict:
     amax = float(np.max(np.abs(vals)))
     i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
     p_axis, q_axis = dom.axes()
@@ -595,19 +561,14 @@ def _r_report(
     )
     tail_bound = float(tail.max()) if qo.size else 0.0
 
-    report = {
+    return {
         "N": N,
-        "max_abs_R_window": amax,
         "worst_point": worst_pt,
-        "tail_bound_outside_window": tail_bound,
-        "bound": R_BOUND,
-        "pass": amax <= R_BOUND and tail_bound <= R_BOUND,
+        "checks": {
+            "max_abs_R_window": check(amax, R_BOUND, "<=", "sampled"),
+            "tail_bound_outside_window": check(tail_bound, R_BOUND, "<=", "sampled"),
+        },
     }
-    if raise_on_violation and not report["pass"]:
-        raise CheckFailed(
-            f"|R| exceeds {R_BOUND}: window max {amax:.6f} at {worst_pt}, tail {tail_bound:.6f}"
-        )
-    return report
 
 
 def verify_oscillation_ratios(
@@ -630,7 +591,7 @@ def verify_oscillation_ratios(
         # one pass for u'^2 R and R; the R window is released before the residual
         R = fields.field_R(dom, N)
         model, rvals = _grid_values_chunked([fields.field_uprime_sq(dom) * R, R], dom)
-        rrep = _r_report(fields, N, dom, rvals, raise_on_violation=False)
+        rrep = _r_report(fields, N, dom, rvals)
         del rvals
         resid = float(np.max(np.abs(DN - model)))
         ratio_max = float(DN.max()) / d0_max
@@ -642,28 +603,26 @@ def verify_oscillation_ratios(
                 "ratio_min": ratio_min,
                 "residual": resid,
                 "residual_times_N": resid * N,
-                "maxR": max(rrep["max_abs_R_window"], rrep["tail_bound_outside_window"]),
-                # the ratios sit below the R bound up to the O(1/N) term
-                "within_envelope": max(ratio_max, ratio_min)
-                <= R_BOUND + 2.0 * resid / d0_max,
+                "maxR": max(c["value"] for c in rrep["checks"].values()),
             }
         )
+    ratios = [max(row["ratio_max"], row["ratio_min"]) for row in rows]
     rn = [row["residual_times_N"] for row in rows]
-    residual_scaling_ok = (max(rn) / min(rn)) <= 2.0 if min(rn) > 0 else False
-    passed = (
-        all(row["maxR"] <= R_BOUND for row in rows)
-        and all(
-            max(row["ratio_max"], row["ratio_min"]) <= 0.995 for row in rows if row["N"] >= 1000
-        )
-        and residual_scaling_ok
-    )
-    return {
-        "denominator_max": d0_max,
-        "denominator_min": d0_min,
-        "rows": rows,
-        "residual_scaling_within_factor_2": residual_scaling_ok,
-        "pass": passed,
+    checks = {
+        "max_abs_R": check(max(row["maxR"] for row in rows), R_BOUND, "<=", "sampled"),
+        # the ratios sit below the R bound up to the O(1/N) term
+        "ratio_within_envelope": check(
+            max(r - 2.0 * row["residual"] / d0_max for r, row in zip(ratios, rows)),
+            R_BOUND, "<=", "sampled",
+        ),
+        "residual_times_N_spread": check(
+            max(rn) / min(rn) if min(rn) > 0 else np.inf, 2.0, "<=", "sampled"
+        ),
     }
+    large = [r for r, row in zip(ratios, rows) if row["N"] >= 1000]
+    if large:
+        checks["ratio_at_N_ge_1000"] = check(max(large), 0.995, "<=", "sampled")
+    return {"denominator_max": d0_max, "denominator_min": d0_min, "rows": rows, "checks": checks}
 
 
 # -- compact support via cutoffs ---------------------------------------------------
@@ -686,10 +645,11 @@ def cutoff_witness(
     n: int = 512,
     plateau: tuple | None = None,
 ) -> dict:
-    """Verify that multiplying by a plateau cutoff (identically 1 on the
+    """Check that multiplying by a plateau cutoff (identically 1 on the
     support rectangle I x J) changes neither {.,.} nor the maxima:
     {phi F, phi G} = phi^2 {F, G} pointwise and
-    max {phi F, {phi F, phi G}} = max {F, {F, G}}.
+    max {phi F, {phi F, phi G}} = max {F, {F, G}}, each residual sampled
+    on an n x n grid and checked <= 1e-9.
 
     `plateau`, when given as (p_lo, p_hi, q_lo, q_hi), overrides where the
     cutoff is identically one; it must still cover I x J.
@@ -730,16 +690,10 @@ def cutoff_witness(
     B_cut, phi_vals, B_vals, DBL_cut, DBL_ref = values_of(
         [B_phi, phi, B, BracketField(phiF, B_phi), BracketField(F, B)]
     )
-    first_resid = float(np.max(np.abs(B_cut - (phi_vals**2) * B_vals)))
-    scaled_resid = float(np.max(np.abs(DBL_cut - phi_vals**3 * DBL_ref)))
-    max_gap = abs(float(DBL_cut.max()) - float(DBL_ref.max()))
-    min_gap = abs(float(DBL_cut.min()) - float(DBL_ref.min()))
-
-    tol = 1e-9
-    return {
-        "bracket_identity_resid": first_resid,
-        "double_bracket_identity_resid": scaled_resid,
-        "max_equality_gap": max_gap,
-        "min_equality_gap": min_gap,
-        "pass": max(first_resid, scaled_resid, max_gap, min_gap) <= tol,
+    gaps = {
+        "cutoff_bracket_identity_resid": np.max(np.abs(B_cut - (phi_vals**2) * B_vals)),
+        "cutoff_double_bracket_identity_resid": np.max(np.abs(DBL_cut - phi_vals**3 * DBL_ref)),
+        "cutoff_max_equality_gap": abs(float(DBL_cut.max()) - float(DBL_ref.max())),
+        "cutoff_min_equality_gap": abs(float(DBL_cut.min()) - float(DBL_ref.min())),
     }
+    return {name: check(gap, 1e-9, "<=", "sampled") for name, gap in gaps.items()}

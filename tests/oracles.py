@@ -172,3 +172,38 @@ def sym_grid_values(expr: sp.Expr, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     fn = sp.lambdify((P_SYM, Q_SYM), sp.expand(expr), "numpy")
     out = fn(P, Q)
     return np.broadcast_to(np.asarray(out, dtype=float), P.shape)
+
+
+# -- moved from the library: only tests call them ----------------------------------
+
+
+def fixed_pullback(word: flows.FlowWord, H: LiePoly, max_degree: int) -> LiePoly:
+    """Pi^c(H) = H o c^{-1} for a tau-independent word c, applied exactly."""
+    factors = flows._factors(word)
+    if any(any(c[1:]) for _, c in factors):
+        raise ValueError("fixed_pullback needs a tau-independent word")
+    out = H
+    for X, c in reversed(factors):
+        out = flows._theta_poly(X, -c[0] if c else Fraction(0), out, max_degree)
+    return out
+
+
+def _mobius(n: int) -> int:
+    m, p, count = n, 2, 0
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            count += 1
+        p += 1
+    if m > 1:
+        count += 1
+    return -1 if count % 2 else 1
+
+
+def witt_number(degree: int) -> int:
+    """Dimension of the degree-d homogeneous part of the free Lie algebra
+    on two letters (Witt's formula)."""
+    divisors = [e for e in range(1, degree + 1) if degree % e == 0]
+    return sum(_mobius(degree // e) * 2**e for e in divisors) // degree

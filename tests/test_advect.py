@@ -59,13 +59,13 @@ def test_rk4_convergence(torus128):
 
 def test_y_bound_trivial_zero_G(torus128):
     out = y_bound_check(sin_p(torus128), zero_field(torus128), 0.1, 0.1, 16)
-    assert abs(out["maxY"]) < 1e-12 and out["pass"]
+    assert abs(out["value"]) < 1e-12 and out["pass"]
 
 
 def test_y_bound_sin_pair(sin_pair):
     F, G = sin_pair
     out = y_bound_check(F, G, 0.1, 0.1, 64)
-    assert out["pass"] and out["slack"] > 0
+    assert out["pass"] and out["margin"] > 0
 
 
 def test_y_bound_commuting_pair(torus128):
@@ -75,5 +75,5 @@ def test_y_bound_commuting_pair(torus128):
     F = sin_p(torus128)
     G = AnalyticField(torus128, lambda jp, jq: jet_cos(jp))
     out = y_bound_check(F, G, 0.1, 0.1, 64)
-    assert abs(out["maxY"]) <= 1e-6 and abs(out["bound"]) <= 1e-12
+    assert abs(out["value"]) <= 1e-6 and abs(out["bound"]) <= 1e-12
     assert out["pass"]

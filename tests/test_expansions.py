@@ -23,11 +23,11 @@ def test_expansion_32_exact():
     assert rep.match
     md = 6
     F, G = LiePoly.letter("F", md), LiePoly.letter("G", md)
-    P = bracket(F, G)
+    P = bracket(F, G, md)
     assert rep.series.coefficient(0).is_zero()
     assert rep.series.coefficient(1) == P.scale(2)
     assert rep.series.coefficient(2).is_zero()
-    I = bracket(bracket(P, F), F) + bracket(bracket(P, G), G)
+    I = bracket(bracket(P, F, md), F, md) + bracket(bracket(P, G, md), G, md)
     assert rep.series.coefficient(3) == I.scale(Fraction(1, 6))
 
 
@@ -48,7 +48,7 @@ def test_expansion_33_exact():
     assert rep.match
     md = 6
     F, G = LiePoly.letter("F", md), LiePoly.letter("G", md)
-    P = bracket(F, G)
+    P = bracket(F, G, md)
     assert rep.series.coefficient(0).is_zero()
     assert rep.series.coefficient(1).is_zero()
     # (3/2)({{F,G},F} + {{F,G},G}) = (3/2)(-FFG + FGG)
@@ -76,7 +76,9 @@ def test_report_json_is_serializable_and_shaped():
     rep = verify_symmetrized_expansion(5).to_json()
     text = json.dumps(rep)
     back = json.loads(text)
-    assert back["match"] is True
+    assert back["checks"]["match"] == {"value": 0, "bound": 0, "sense": "==", "method": "certified",
+                                       "tol": 0, "margin": 0, "pass": True}
+    assert back["conditions"]["tau1_is_2P"] is True
     assert back["T"] == 5
     coeffs = back["coefficients"]
     assert coeffs[1]["terms"] == [{"lyndon": "FG", "num": 2, "den": 1}]

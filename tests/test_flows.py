@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import oracle_generator
+from oracles import fixed_pullback, oracle_generator
 
 from bracketlab.errors import BoundsError
 from bracketlab.flows import (
@@ -67,7 +67,7 @@ def test_conjugate_normalizes_to_product():
 
 def test_factor_requires_degree_one_generator():
     with pytest.raises(ValueError):
-        Factor(bracket(F(3), G(3)), TAU)
+        Factor(bracket(F(3), G(3), 3), TAU)
 
 
 def test_factor_with_affine_time_generates_constant():
@@ -172,7 +172,6 @@ def test_fixed_factor_generates_nothing():
 
 def test_fixed_conjugation_maps_coefficients_through_pullback():
     from bracketlab.expansions import symmetrized_commutator_word
-    from bracketlab.flows import fixed_pullback
 
     core = symmetrized_commutator_word()
     fixed = Factor(G(2), time_poly(Fraction(1, 2)))
@@ -187,8 +186,6 @@ def test_fixed_conjugation_maps_coefficients_through_pullback():
 
 
 def test_fixed_pullback_refuses_moving_words_and_inverts_fixed_ones():
-    from bracketlab.flows import fixed_pullback
-
     md = 5
     H = bracket(F(md), G(md), md) + G(md)
     moving = Product((f_tau(), Factor(G(2), time_poly(1))))

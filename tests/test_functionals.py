@@ -82,8 +82,8 @@ def test_psi_positive_when_bracket_nonzero(torus128, rng):
 def test_lh_closed_form(sin_pair):
     F, G = sin_pair
     out = lh_check(F, G)
-    assert out["lhs"] == pytest.approx(1.0, abs=1e-12)
-    assert out["rhs"] == pytest.approx(0.25, abs=1e-12)
+    assert out["value"] == pytest.approx(1.0, abs=1e-12)
+    assert out["bound"] == pytest.approx(0.25, abs=1e-12)
     assert out["pass"]
 
 
@@ -92,7 +92,7 @@ def test_lh_commuting_pair(torus128):
     F = sin_p(torus128)
     G = AnalyticField(torus128, lambda jp, jq: jet_cos(jp))
     out = lh_check(F, G)
-    assert out["rhs"] == pytest.approx(0.0, abs=1e-15)
+    assert out["bound"] == pytest.approx(0.0, abs=1e-15)
     assert out["pass"]
 
 
@@ -145,7 +145,7 @@ def test_integral_identity(torus256):
     Q = sin_q(torus256)
     R = AnalyticField(torus256, lambda jp, jq: jet_cos(jp + jq))
     out = integral_identity_check(P, Q, R)
-    assert out["rel_err"] <= 1e-8
+    assert out["checks"]["identity"]["value"] <= 1e-8
 
 
 def test_integral_identity_constant_R(torus128):
@@ -158,7 +158,7 @@ def test_integral_identity_constant_R(torus128):
 def test_cor_identity(torus256):
     F, G = sin_p(torus256), sin_q(torus256)
     out = squared_bracket_identity_check(F, G)
-    assert out["rel_err"] <= 1e-6
+    assert out["checks"]["identity"]["value"] <= 1e-6
     # closed form: both sides equal -3 pi^2 / 2
     assert out["lhs"] == pytest.approx(-1.5 * np.pi**2, rel=1e-9)
 
@@ -168,7 +168,7 @@ def test_zero_mean(torus128, rng):
         F = trig_polynomial(torus128, rng.normal(size=(2, 2)))
         G = trig_polynomial(torus128, rng.normal(size=(2, 2)))
         out = zero_mean_check(F, G)
-        assert out["residual"] <= 1e-8
+        assert out["checks"]["zero_mean"]["value"] <= 1e-8
 
 
 @pytest.mark.parametrize("element", ["A", "B", "C"])
@@ -178,7 +178,7 @@ def test_dihedral_symmetries_exact(element, torus128, rng):
         G = trig_polynomial(torus128, rng.normal(size=(2, 2)) / 2)
         v = FunctionalVector(*np.abs(rng.normal(size=4)) + 0.1)
         out = symmetry_check(v, F, G, element)
-        assert out["rel_err"] <= 1e-12
+        assert out["checks"][element]["value"] <= 1e-12
 
 
 def test_scaling_symmetry(torus128, rng):
@@ -188,7 +188,7 @@ def test_scaling_symmetry(torus128, rng):
         v = FunctionalVector(*np.abs(rng.normal(size=4)) + 0.1)
         alpha, beta = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
         out = symmetry_check(v, F, G, (alpha, beta))
-        assert out["rel_err"] <= 1e-12
+        assert out["checks"]["scale"]["value"] <= 1e-12
 
 
 def test_scaling_identity_trivial_at_unit(sin_pair):

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import witt_number
+
 from bracketlab.errors import BoundsError
 from bracketlab.lyndon import (
     expand_standard_bracketing,
@@ -9,7 +11,6 @@ from bracketlab.lyndon import (
     lie_envelope_to_lyndon,
     lyndon_words,
     standard_factorization,
-    witt_number,
 )
 
 

@@ -77,7 +77,7 @@ def test_kappa_monotone_in_bound():
 
 def test_r_rectangle_scan():
     out = r_rectangle_scan(kappa_search())
-    assert out["pass"] and out["max_abs_r"] < 0.99
+    assert out["pass"] and out["value"] < 0.99 and out["sense"] == "<"
 
 
 # -- construction ------------------------------------------------------------------
@@ -93,13 +93,14 @@ def test_integral_of_w_exactly_zero(fields):
 
 
 def test_w_range_on_core(fields):
-    inv = fields.notes["invariants"]
-    lo, hi = inv["w_cond_ii_range"]
+    inv = check_witness_invariants(fields)
+    lo, hi = inv["w_cond_ii_min"]["value"], inv["w_cond_ii_max"]["value"]
     assert 1.0 <= lo and hi <= 2.0
 
 
 def test_a_stays_in_kappa_band(fields):
-    lo, hi = fields.notes["invariants"]["a_cond_ii_range"]
+    inv = check_witness_invariants(fields)
+    lo, hi = inv["a_cond_ii_min"]["value"], inv["a_cond_ii_max"]["value"]
     assert 1.1 - fields.kappa <= lo and hi <= 1.1 + fields.kappa
 
 
@@ -129,11 +130,11 @@ def test_condition_reading_is_flagged(fields):
 
 
 def test_r_field_bound(fields):
-    rep = r_field(fields, N=1000, n=512)
-    assert rep["pass"]
-    assert rep["max_abs_R_window"] <= 0.99
+    checks = r_field(fields, N=1000, n=512)["checks"]
+    assert all(c["pass"] for c in checks.values())
+    assert checks["max_abs_R_window"]["value"] <= 0.99
     # the tail estimate reproduces the 0.36-style case-2 bound with margin
-    assert rep["tail_bound_outside_window"] <= 0.36
+    assert checks["tail_bound_outside_window"]["value"] <= 0.36
 
 
 def test_r_field_zero_where_profiles_vanish(fields):
@@ -156,14 +157,16 @@ def test_verify_oscillation_ratios_small_grid(fields):
             assert row["ratio_max"] <= 0.995 and row["ratio_min"] <= 0.995
     rn = [row["residual_times_N"] for row in out["rows"]]
     assert max(rn) / min(rn) <= 2.0
-    assert out["pass"]
+    assert all(c["pass"] for c in out["checks"].values())
+    assert set(out["checks"]) == {"max_abs_R", "ratio_within_envelope",
+                                  "residual_times_N_spread", "ratio_at_N_ge_1000"}
 
 
 def test_cutoff_witness(fields):
     out = cutoff_witness(fields, n=256)
-    assert out["pass"]
-    assert out["bracket_identity_resid"] <= 1e-9
-    assert out["max_equality_gap"] <= 1e-9
+    assert all(c["pass"] for c in out.values())
+    assert out["cutoff_bracket_identity_resid"]["value"] <= 1e-9
+    assert out["cutoff_max_equality_gap"]["value"] <= 1e-9
 
 
 def test_cutoff_margin_must_be_positive(fields):
@@ -178,7 +181,7 @@ def test_cutoff_plateau_too_small_rejected(fields):
 
 def test_cutoff_plateau_global_cover_trivial(fields):
     out = cutoff_witness(fields, n=128, plateau=(-5.0, 20.0, -5.0, 700.0))
-    assert out["pass"]
+    assert all(c["pass"] for c in out.values())
 
 
 def test_double_bracket_closed_form_oracle(fields):
@@ -220,4 +223,4 @@ def test_double_bracket_closed_form_oracle(fields):
 
 def test_ratio_envelope_flag(fields):
     out = verify_oscillation_ratios(fields, N_list=(100, 1000), n=512)
-    assert all(row["within_envelope"] for row in out["rows"])
+    assert out["checks"]["ratio_within_envelope"]["pass"]
