@@ -281,7 +281,8 @@ def cmd_bch(o: dict):
 
 
 @command("lemma-r", "extrema of the quadratic r(alpha,gamma,z) and the kappa margin",
-         alpha=Option(1.1, number, "centre alpha0 of the kappa interval"),
+         alpha=Option(1.1, _converter("nonzero number", float, str, int, float, ok=lambda x: x != 0),
+                      "centre alpha0 of the kappa interval"),
          gamma=Option(1.63, number, "gamma in r(alpha,gamma,z)"),
          bound=Option(0.99, number, "bound on max |r|"),
          resolution=Option(1e-5, number, "alpha sweep resolution of the kappa search"))

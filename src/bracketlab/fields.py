@@ -202,24 +202,17 @@ class SampledField(JetField):
         self._deriv_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def _diff(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        h = self.domain.spacing[axis]
-        if self.domain.kind == "torus":
-            shift = lambda k: np.roll(arr, -k, axis=axis)
-        else:
-            def shift(k):
-                out = np.zeros_like(arr)
-                idx_src = [slice(None)] * 2
-                idx_dst = [slice(None)] * 2
-                if k > 0:
-                    idx_src[axis] = slice(k, None)
-                    idx_dst[axis] = slice(None, -k)
-                elif k < 0:
-                    idx_src[axis] = slice(None, k)
-                    idx_dst[axis] = slice(-k, None)
-                else:
-                    return arr.copy()
-                out[tuple(idx_dst)] = arr[tuple(idx_src)]
-                return out
+        # the five-point stencil on arr padded by two nodes per side
+        h, n = self.domain.spacing[axis], arr.shape[axis]
+        width = [(0, 0), (0, 0)]
+        width[axis] = (2, 2)
+        padded = np.pad(arr, width, mode="wrap" if self.domain.kind == "torus" else "constant")
+
+        def shift(k):  # shift(k)[i] = arr[i + k]
+            idx = [slice(None), slice(None)]
+            idx[axis] = slice(2 + k, 2 + k + n)
+            return padded[tuple(idx)]
+
         return (-shift(2) + 8 * shift(1) - 8 * shift(-1) + shift(-2)) / (12.0 * h)
 
     def _derivative(self, i: int, j: int) -> np.ndarray:

@@ -10,13 +10,13 @@ phi_{Xn}^{-cn} ... phi_{X1}^{-c1}, and c.a.c^{-1} is a product too.
 ``path_generator`` returns the truncated Lie series of the time-dependent
 Hamiltonian generating that path as one fold over the factors from the
 right.  A product f.b, with f = phi_X^{c(tau)}, is generated by
-c'(tau) X + Pi^f_tau(B(tau)): B carried through the exact pullback by the
-initial map, H |-> H o phi_X^{-c(0)} = sum_k (-c(0))^k/k! {..{H,X}..,X},
-and then through the solution of d/dtau P(H) = -{P(H), c'(tau) X}.
+c'(tau) X + exp(-c(tau) ad_X) B(tau), so the fold is
+gen <- c'(tau) X + exp(-c(tau) ad_X) gen, where ad_X H = {H, X} and
+exp(-c ad_X) H = sum_k (-c)^k/k! {..{H,X}..,X} = H o phi_X^{-c}.
 
 With the bracket convention {F, G} = (d/dt)|_0 F o g_t, the pullback of a
-fixed element H by the path of f is H o f_tau^{-1}, which is what the ODE
-above encodes.  All arithmetic is exact rational.
+fixed element H by the path of f is H o f_tau^{-1}, which is that Lie
+series.  All arithmetic is exact rational.
 """
 
 from __future__ import annotations
@@ -153,40 +153,34 @@ def _factors(word: FlowWord) -> list[tuple[LiePoly, TimePoly]]:
     raise TypeError(f"not a FlowWord: {word!r}")
 
 
-def _theta_poly(X: LiePoly, s: Fraction, H: LiePoly, max_degree: int) -> LiePoly:
-    """H o phi_X^s = sum_k s^k / k! {..{H, X}.., X}; each bracket raises
-    the degree, so the sum terminates at the truncation."""
-    out = H.truncated(max_degree)
-    term = out
-    coeff = Fraction(1)
-    for k in range(1, max_degree + 1):
-        term = bracket(term, X, max_degree)
-        if term.is_zero():
-            break
-        coeff = coeff * s / k
-        out = out + term.scale(coeff)
-    return out
-
-
-def _pullback_coeffs(
-    gen: list[LiePoly], seed: LiePoly, upto: int, max_degree: int
+def _pullback(
+    X: LiePoly, c: TimePoly, series: list[LiePoly], max_degree: int
 ) -> list[LiePoly]:
-    """Coefficients of the ODE part of Pi^a_tau(seed), for a path with
-    generator coefficients gen.
+    """exp(-c(tau) ad_X) series = sum_k (-c(tau))^k / k! {..{series, X}.., X},
+    truncated at the series' last power tau^T and at Lie degree max_degree.
 
-    Solves d/dtau U = -{U, A(tau)}, U(0) = seed, order by order:
-    (k+1) U_{k+1} = -sum_{i+j=k} {U_i, A_j}.
+    (-c)^k starts at tau^(k v), v the tau-valuation of c, so ad_X^k of the
+    tau^j coefficient is formed only while j + k v <= T; each bracket with
+    the degree-1 X raises the degree, so the sum also ends at max_degree.
     """
-    U = [seed]
-    for k in range(upto):
-        acc = LiePoly.zero(max_degree)
-        for i in range(k + 1):
-            a = gen[k - i]
-            if U[i].is_zero() or a.is_zero():
-                continue
-            acc = acc + bracket(U[i], a, max_degree)
-        U.append(acc.scale(Fraction(-1, k + 1)))
-    return U
+    T = len(series) - 1
+    v = next((i for i, a in enumerate(c) if a), T + 1)
+    powers = [[Fraction(1)] + [Fraction(0)] * T]  # (-c(tau))^k / k!, to tau^T
+    out = list(series)
+    for j, term in enumerate(series):
+        k = 1
+        while j + k * v <= T and not term.is_zero():
+            term = bracket(term, X, max_degree)
+            if k == len(powers):
+                powers.append([
+                    -sum(powers[-1][m - i] * a for i, a in enumerate(c[: m + 1])) / k
+                    for m in range(T + 1)
+                ])
+            for m, a in enumerate(powers[k][: T + 1 - j]):
+                if a:
+                    out[j + m] = out[j + m] + term.scale(a)
+            k += 1
+    return out
 
 
 def path_generator(word: FlowWord, truncation: int) -> LieSeries:
@@ -195,27 +189,21 @@ def path_generator(word: FlowWord, truncation: int) -> LieSeries:
     Requires 1 <= truncation <= 8.  Coefficients are kept to Lie degree
     truncation+1; for words whose factor times are linear in tau the
     grading makes the tau^k coefficient pure degree k+1, and that bound
-    stays a valid truncation for constant or mixed time polynomials (the
-    initial fixed pullbacks only add higher-degree corrections).
+    stays a valid truncation for constant or mixed time polynomials (a
+    constant part of c(tau) only adds higher-degree corrections).
     """
     if not isinstance(truncation, int) or not 1 <= truncation <= MAX_TRUNCATION:
         raise BoundsError(
             f"truncation must be an integer in [1, {MAX_TRUNCATION}], got {truncation!r}"
         )
     T, max_degree = truncation, truncation + 1
-    gen = [LiePoly.zero(max_degree) for _ in range(T + 1)]
-    # f.b, with f = phi_X^{c(tau)}, is generated by c'(tau) X + Pi^f_tau(B)
+    gen = [LiePoly.zero(max_degree)] * (T + 1)
+    # f.b, with f = phi_X^{c(tau)}, is generated by c'(tau) X + exp(-c(tau) ad_X) B
     for X, c in reversed(_factors(word)):
         X = X.truncated(max_degree)
         dc = poly_derivative(c)
-        left = [X.scale(dc[k] if k < len(dc) else 0) for k in range(T + 1)]
-        out = list(left)
-        for j, seed in enumerate(gen):
-            if c and c[0]:
-                seed = _theta_poly(X, -c[0], seed, max_degree)
-            if seed.is_zero():
-                continue
-            for m, u in enumerate(_pullback_coeffs(left, seed, T - j, max_degree)):
-                out[j + m] = out[j + m] + u
-        gen = out
+        gen = [
+            X.scale(dc[k] if k < len(dc) else 0) + p
+            for k, p in enumerate(_pullback(X, c, gen, max_degree))
+        ]
     return LieSeries(gen, T)

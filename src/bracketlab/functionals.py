@@ -126,12 +126,13 @@ def lh_check(F: JetField, G: JetField, tol: float | None = None) -> dict:
     as a sampled check record: value is the left side, bound the right."""
     P = BracketField(F, G)
     gvals, pvals, dvals = values_of([G, P, BracketField(P, F)])
-    if float(np.max(np.abs(gvals))) == 0.0:
-        raise PreconditionError("lh_check requires G not identically zero")
+    osc = oscillation(gvals)
+    if osc == 0.0:
+        raise PreconditionError("lh_check requires G not constant")
     if tol is None:
         tol = tol_disc(F.domain)
     pnorm = float(np.max(np.abs(pvals)))
-    rhs = pnorm**2 / (2.0 * oscillation(gvals))
+    rhs = pnorm**2 / (2.0 * osc)
     return check(float(dvals.max()), rhs, ">=", "sampled", tol)
 
 

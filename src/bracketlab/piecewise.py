@@ -1,11 +1,12 @@
 """Piecewise-polynomial construction with exact rational coefficients.
 
-Smooth compactly supported profiles are assembled from two-point Hermite
-steps: a step piece matches a prescribed value and K derivatives at both
-ends (degree 2K+1), so profiles built from steps and constants are C^K.
-Building bounded-slope functions goes through their derivative profile --
-monotone Hermite steps never overshoot, so slope caps hold exactly -- and
-an exact antiderivative.
+Smooth compactly supported profiles are assembled from constants and
+smoothstep pieces: a step from v0 to v1 with K vanishing derivatives at
+both ends is v0 + (v1 - v0) S_K(s), S_K the degree-(2K+1) smoothstep, so
+profiles are C^K -- C^3 joints, and C^4 for the cutoff plateau.  Building
+bounded-slope functions goes through their derivative profile --
+smoothsteps are monotone, so slope caps hold exactly -- and an exact
+antiderivative.
 
 Knots and coefficients are Fractions end to end; float conversion happens
 only at evaluation time, in well-conditioned local coordinates.
@@ -14,58 +15,11 @@ only at evaluation time, in well-conditioned local coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from math import comb
 
 import numpy as np
 
 from .errors import ConstructionError
-
-
-def _solve_fraction_system(A: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ConstructionError("singular Hermite system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1, 1) / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[r][n] for r in range(n)]
-
-
-@lru_cache(maxsize=None)
-def hermite_basis(K: int) -> list[list[Fraction]]:
-    """Degree-(2K+1) two-point Hermite basis on [0,1].
-
-    Returns 2(K+1) coefficient vectors, ordered (end0 value, end0 d1, ...,
-    end0 dK, end1 value, ..., end1 dK); basis j has a 1 in condition j.
-    """
-    n = 2 * (K + 1)
-    rows: list[list[Fraction]] = []
-    for end in (0, 1):
-        for k in range(K + 1):
-            row = []
-            for i in range(n):
-                if end == 0:
-                    c = Fraction(factorial(k)) if i == k else Fraction(0)
-                else:
-                    if i >= k:
-                        c = Fraction(factorial(i), factorial(i - k))
-                    else:
-                        c = Fraction(0)
-                row.append(c)
-            rows.append(row)
-    basis = []
-    for j in range(n):
-        b = [Fraction(1) if r == j else Fraction(0) for r in range(n)]
-        basis.append(_solve_fraction_system(rows, b))
-    return basis
 
 
 class Piece:
@@ -115,24 +69,12 @@ class Piece:
         return out
 
 
-def hermite_step(
-    x0: Fraction, x1: Fraction, left: tuple, right: tuple, K: int
-) -> Piece:
-    """Piece matching (value, d1..dK) at x0 and x1."""
-    basis = hermite_basis(K)
-    L = Fraction(x1) - Fraction(x0)
-    n = 2 * (K + 1)
-    data = list(left) + list(right)
-    if len(data) != n:
-        raise ConstructionError(f"need {K + 1} values per end")
-    coeffs = [Fraction(0)] * (2 * K + 2)
-    for j, d in enumerate(data):
-        k = j % (K + 1)
-        scale = Fraction(d) * L**k  # d^k/dx^k = v  <=>  d^k/ds^k = v L^k
-        if scale:
-            for i, c in enumerate(basis[j]):
-                coeffs[i] += scale * c
-    return Piece(x0, x1, tuple(coeffs))
+def smooth_step(x0: Fraction, x1: Fraction, v0: Fraction, v1: Fraction, K: int) -> Piece:
+    """Step from v0 at x0 to v1 at x1 with derivatives 1..K zero at both
+    ends: v0 + (v1 - v0) s^(K+1) sum_n (-s)^n C(K+n, n) C(2K+1, K-n)."""
+    rise = Fraction(v1) - Fraction(v0)
+    tail = [rise * (-1) ** n * comb(K + n, n) * comb(2 * K + 1, K - n) for n in range(K + 1)]
+    return Piece(x0, x1, (Fraction(v0),) + (Fraction(0),) * K + tuple(tail))
 
 
 class PiecewisePoly:
@@ -192,21 +134,22 @@ class PiecewisePoly:
     def eval_derivs(self, x, upto: int) -> list[np.ndarray]:
         """[f(x), f'(x), ..., f^(upto)(x)], zero outside the support."""
         x = np.asarray(x, dtype=float)
-        values = [np.zeros(x.shape) for _ in range(upto + 1)]
+        # every derivative has these knots, so each point is located once;
+        # the right endpoint belongs to the last piece
+        edges, _, lens = self._float_tables()
+        last = len(self.pieces) - 1
+        inside = (x >= edges[0]) & (x <= edges[-1])
+        idx = np.where(x == edges[-1], last, np.searchsorted(edges, x, side="right") - 1)
+        ii = np.clip(idx, 0, last)
+        s = (x - edges[ii]) / lens[ii]
+        values = []
         poly: PiecewisePoly = self
         for order in range(upto + 1):
-            edges, coef, lens = poly._float_tables()
-            idx = np.searchsorted(edges, x, side="right") - 1
-            inside = (idx >= 0) & (idx < len(poly.pieces)) & (x <= edges[-1])
-            # right endpoint belongs to the last piece
-            at_end = x == edges[-1]
-            idx = np.where(at_end, len(poly.pieces) - 1, idx)
-            ii = np.clip(idx, 0, len(poly.pieces) - 1)
-            s = (x - edges[ii]) / lens[ii]
-            acc = np.zeros(x.shape)
-            for c in coef.T[::-1]:
+            coef = poly._float_tables()[1]
+            acc = coef[ii, -1]
+            for c in coef.T[-2::-1]:
                 acc = acc * s + c[ii]
-            values[order] = np.where(inside | at_end, acc, 0.0)
+            values.append(np.where(inside, acc, 0.0))
             if order < upto:
                 poly = poly.derivative()
         return values
@@ -248,7 +191,6 @@ def build_profile(segments: list[tuple], K: int = 3) -> PiecewisePoly:
     """Assemble a C^K profile from ('const', x0, x1, value) and
     ('step', x0, x1, v0, v1) segments; steps are flat (zero derivatives)
     at both ends, hence monotone between v0 and v1."""
-    flat = tuple([Fraction(0)] * K)
     pieces = []
     for seg in segments:
         kind = seg[0]
@@ -259,11 +201,7 @@ def build_profile(segments: list[tuple], K: int = 3) -> PiecewisePoly:
             pieces.append(Piece(Fraction(x0), Fraction(x1), (Fraction(v),)))
         elif kind == "step":
             _, x0, x1, v0, v1 = seg
-            pieces.append(
-                hermite_step(
-                    Fraction(x0), Fraction(x1), (Fraction(v0),) + flat, (Fraction(v1),) + flat, K
-                )
-            )
+            pieces.append(smooth_step(x0, x1, v0, v1, K))
         else:
             raise ConstructionError(f"unknown profile segment {kind!r}")
     return PiecewisePoly(pieces)

@@ -4,8 +4,8 @@ The flow-generator oracle recomputes the generating Hamiltonian of a flow
 word entirely in the free associative algebra: the word maps to the group
 element W(tau) = prod_i exp(c_i(tau) X_i) (pointwise inverse maps to the
 series inverse), and the generator is V = W' W^{-1}, rewritten into the
-Lyndon basis per tau power.  This shares no code path with the pullback
-ODE used by flows.path_generator.
+Lyndon basis per tau power.  This shares no code path with the Lie-series
+pullback exp(-c(tau) ad_X) used by flows.path_generator.
 
 The field oracle differentiates closed-form sympy expressions with the
 coordinate bracket {f, g} = f_q g_p - f_p g_q.
@@ -19,7 +19,7 @@ import numpy as np
 import sympy as sp
 
 from bracketlab import flows
-from bracketlab.liepoly import LiePoly
+from bracketlab.liepoly import LiePoly, bracket
 from bracketlab.lyndon import env_add_into, env_mul, lie_envelope_to_lyndon
 
 # -- envelope tau-series -------------------------------------------------------
@@ -178,13 +178,19 @@ def sym_grid_values(expr: sp.Expr, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def fixed_pullback(word: flows.FlowWord, H: LiePoly, max_degree: int) -> LiePoly:
-    """Pi^c(H) = H o c^{-1} for a tau-independent word c, applied exactly."""
+    """Pi^c(H) = H o c^{-1} for a tau-independent word c, applied exactly:
+    H o phi_X^s = sum_k s^k / k! {..{H, X}.., X} per factor, with s = -c."""
     factors = flows._factors(word)
     if any(any(c[1:]) for _, c in factors):
         raise ValueError("fixed_pullback needs a tau-independent word")
-    out = H
+    out = H.truncated(max_degree)
     for X, c in reversed(factors):
-        out = flows._theta_poly(X, -c[0] if c else Fraction(0), out, max_degree)
+        s = -c[0] if c else Fraction(0)
+        term, total = out, out
+        for k in range(1, max_degree + 1):
+            term = bracket(term, X, max_degree).scale(s / k)
+            total = total + term
+        out = total
     return out
 
 

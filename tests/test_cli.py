@@ -72,6 +72,17 @@ def test_lh_check_zero_fields_exit_2(tmp_path):
     assert run_cli(["lh-check", "--fields", "zero,zero"], tmp_path) == 2
 
 
+def test_lh_check_constant_G_exit_2(tmp_path, capsys):
+    dom = Domain2.torus(32)
+    P, _ = dom.grid()
+    save_field_csv(np.sin(P), dom, tmp_path / "sp.csv")
+    save_field_csv(np.ones_like(P), dom, tmp_path / "one.csv")
+    fields = f"{tmp_path / 'sp.csv'},{tmp_path / 'one.csv'}"
+    assert run_cli(["lh-check", "--fields", fields], tmp_path) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "lh-check.json").exists()
+
+
 def test_missing_csv_field_exit_3(tmp_path):
     assert run_cli(["lh-check", "--fields", "nope.csv,nada.csv"], tmp_path) == 3
 
@@ -123,12 +134,15 @@ def exit_status(args):
         (["rate-scan"], {"eps_min": 0}),
         (["rate-scan", "--eps-count", "1"], None),
         (["rate-scan"], {"eps_count": 2}),
+        (["lemma-r", "--alpha", "0"], None),
+        (["lemma-r"], {"alpha": 0}),
     ],
     ids=["v-text", "v-length", "N-list-text", "delta-1/0", "delta-text", "k-without-m", "N-0",
          "resolution-0", "cfg-seed", "cfg-n-text", "cfg-n-float", "cfg-trials-bool",
          "cfg-fields-number", "cfg-squares-text", "cfg-which-choice", "cfg-list",
          "witness-build-grid-n", "trials-negative", "cfg-trials-negative", "eps-min-0",
-         "eps-max-negative", "cfg-eps-min-0", "eps-count-1", "cfg-eps-count-2"],
+         "eps-max-negative", "cfg-eps-min-0", "eps-count-1", "cfg-eps-count-2", "alpha-0",
+         "cfg-alpha-0"],
 )
 def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     if config is not None:
@@ -146,6 +160,8 @@ def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     (["rate-scan", "--eps-max", "-1"], "--eps-max"),
     (["rate-scan", "--eps-count", "1"], "--eps-count"),
     (["rate-scan", {"eps_count": 2}], "'eps_count'"),
+    (["lemma-r", "--alpha", "0"], "--alpha"),
+    (["lemma-r", {"alpha": 0}], "'alpha'"),
 ])
 def test_out_of_range_value_names_its_option(tmp_path, capsys, args, named):
     if isinstance(args[-1], dict):  # the contents of a config file

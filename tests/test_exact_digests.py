@@ -1,0 +1,44 @@
+"""The exact outputs of the closed-form builders, pinned by digest.
+
+Everything hashed is an exact rational, or a float of one, so the digests
+do not depend on the platform.  The smoothstep profiles and the Lie-series
+pullback are unique, so any correct rewrite of either keeps them.
+"""
+
+import hashlib
+
+from bracketlab import expansions, witness
+from bracketlab.reporting import canonical_json
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+def test_witness_profiles_are_pinned():
+    fields = witness.build_witness(check=False)
+    profiles = {
+        "u_prime": fields.u_prime,
+        "w_prime": fields.w_prime,
+        "a_left_taper": fields.a.left,
+        "a_right_taper": fields.a.right,
+        "plateau_bump(-3, 4, 5)": witness.plateau_bump(-3, 4, 5),
+    }
+    assert {name: _digest(p.to_json()) for name, p in profiles.items()} == {
+        "u_prime": "c63e17744e7ae5e7644d84286efd3710c54c7c66ae5ef2b862e7628bb043c2f0",
+        "w_prime": "f6354b34bff23f255f12f377e2a530a0257319b9a3e42da3b941851fe080b2b5",
+        "a_left_taper": "480154448509d23c7d3dbefcc467adb7f993e170f998599d47b336bdc4405231",
+        "a_right_taper": "aa0ed387a2968abe9ff60c610bf7fb5a32aa24cd750fa95bd882e6cd35ba325e",
+        "plateau_bump(-3, 4, 5)": "43b485a342786daec85ac4fa0410e1e623b1f570c09deac9679ee7cca9e155d9",
+    }
+
+
+def test_expansion_series_are_pinned():
+    series = {
+        "symmetrized": expansions.verify_symmetrized_expansion(8).series,
+        "conjugated": expansions.verify_conjugated_expansion(8).series,
+    }
+    assert {name: _digest(s.to_json()) for name, s in series.items()} == {
+        "symmetrized": "8665f34da5099f9b7004030693ed1a1eb96b02547cf387184e92f10ebfce13ff",
+        "conjugated": "507685158fcd996bc05009f5a3932527bfcc60f662229a7db791f055b8882ccc",
+    }

@@ -50,6 +50,19 @@ def test_sampled_field_derivatives_converge():
     assert errs[1] < errs[0] / 8  # 4th-order stencil
 
 
+def test_sampled_derivative_of_a_constant_sees_only_the_edges():
+    # zeros extend a rectangle, so the stencil sees a step at each edge;
+    # the torus wraps and sees none
+    dom = Domain2.rect(17, (0.0, 1.0, -1.0, 2.0))
+    j = SampledField(dom, np.ones((17, 17))).jet(1)
+    edges = np.array([7, -1] + [0] * 13 + [1, -7], dtype=float)
+    hp, hq = dom.spacing
+    assert np.array_equal(j.derivative(1, 0), np.broadcast_to((edges / (12.0 * hp))[:, None], (17, 17)))
+    assert np.array_equal(j.derivative(0, 1), np.broadcast_to(edges / (12.0 * hq), (17, 17)))
+    torus = SampledField(Domain2.torus(16), np.ones((16, 16))).jet(1)
+    assert not torus.derivative(1, 0).any() and not torus.derivative(0, 1).any()
+
+
 def test_sampled_field_off_grid_rejected():
     dom = Domain2.torus(32)
     f = SampledField(dom, np.zeros((32, 32)))

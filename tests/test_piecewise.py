@@ -6,30 +6,30 @@ import sympy as sp
 
 from bracketlab.errors import ConstructionError
 from bracketlab.piecewise import (
+    Piece,
     PiecewisePoly,
     build_profile,
-    hermite_basis,
-    hermite_step,
+    smooth_step,
     table_profile,
 )
 
 
-def test_hermite_basis_conditions():
+def test_smooth_step_end_conditions():
+    x = sp.symbols("x")
+    v0, v1 = Fraction(-2, 3), Fraction(5, 7)
     for K in (3, 4):
-        basis = hermite_basis(K)
-        x = sp.symbols("x")
-        for j, coeffs in enumerate(basis):
-            poly = sum(sp.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(coeffs))
-            end, order = divmod(j, K + 1)
-            for e in (0, 1):
-                for k in range(K + 1):
-                    val = sp.diff(poly, x, k).subs(x, e)
-                    want = 1 if (e == end and k == order) else 0
-                    assert val == want
+        piece = smooth_step(Fraction(1), Fraction(4), v0, v1, K)
+        assert len(piece.coeffs) == 2 * K + 2
+        s = (x - 1) / 3
+        poly = sum(sp.Rational(c.numerator, c.denominator) * s**i for i, c in enumerate(piece.coeffs))
+        for e, v in ((1, v0), (4, v1)):
+            assert poly.subs(x, e) == sp.Rational(v.numerator, v.denominator)
+            for k in range(1, K + 1):
+                assert sp.diff(poly, x, k).subs(x, e) == 0
 
 
 def test_step_is_monotone_and_flat_at_ends():
-    piece = hermite_step(Fraction(0), Fraction(2), (Fraction(0), 0, 0, 0), (Fraction(1), 0, 0, 0), K=3)
+    piece = smooth_step(Fraction(0), Fraction(2), Fraction(0), Fraction(1), K=3)
     pw = PiecewisePoly([piece])
     x = np.linspace(0, 2, 1001)
     vals = pw(x)
@@ -63,10 +63,9 @@ def test_antiderivative_and_derivative_roundtrip():
 
 
 def test_eval_derivs_against_sympy():
-    piece = hermite_step(
-        Fraction(1), Fraction(3),
-        (Fraction(2), Fraction(1, 2), 0, 0), (Fraction(-1), 0, Fraction(1), 0), K=3
-    )
+    coeffs = (Fraction(2), Fraction(1), Fraction(-3, 4), 0, Fraction(5, 3), Fraction(-7, 2),
+              Fraction(1, 6), Fraction(-2, 5))
+    piece = Piece(Fraction(1), Fraction(3), coeffs)
     pw = PiecewisePoly([piece])
     xs = sp.symbols("x")
     s = (xs - 1) / 2
@@ -97,8 +96,6 @@ def test_endpoint_values_belong_to_pieces():
 
 
 def test_non_contiguous_pieces_rejected():
-    from bracketlab.piecewise import Piece
-
     with pytest.raises(ConstructionError):
         PiecewisePoly(
             [Piece(Fraction(0), Fraction(1), (Fraction(1),)), Piece(Fraction(2), Fraction(3), (Fraction(1),))]
