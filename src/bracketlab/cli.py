@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import namedtuple
@@ -102,7 +103,7 @@ def _kept_text(parse):
 text = _converter("text", str, str)
 integer = _converter("integer", int, str, int)
 count = _converter("count", int, str, int, ok=lambda x: x >= 0)
-number = _converter("number", float, str, int, float)
+number = _converter("number", float, str, int, float, ok=math.isfinite)
 positive = _converter("positive number", float, str, int, float, ok=lambda x: 0 < x < np.inf)
 switch = _converter("switch", bool, bool)
 fraction = _converter("fraction", _kept_text(Fraction), str)
@@ -281,7 +282,8 @@ def cmd_bch(o: dict):
 
 
 @command("lemma-r", "extrema of the quadratic r(alpha,gamma,z) and the kappa margin",
-         alpha=Option(1.1, _converter("nonzero number", float, str, int, float, ok=lambda x: x != 0),
+         alpha=Option(1.1, _converter("nonzero number", float, str, int, float,
+                                      ok=lambda x: x != 0 and math.isfinite(x)),
                       "centre alpha0 of the kappa interval"),
          gamma=Option(1.63, number, "gamma in r(alpha,gamma,z)"),
          bound=Option(0.99, number, "bound on max |r|"),

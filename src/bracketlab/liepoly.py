@@ -1,98 +1,115 @@
 """Exact free-Lie-algebra elements in the Lyndon basis.
 
-Coefficients are :class:`fractions.Fraction`; floating point is not used
-anywhere in this module, so bracket identities hold exactly.  Everything
-above ``max_degree`` is silently truncated, which keeps the algebra
-closed for series work.
+Coefficients are integer numerators over one reduced positive denominator.
+The Lyndon basis is a Z-basis, so brackets of basis elements have integer
+coefficients and all arithmetic here is on ints; floating point is not
+used, so bracket identities hold exactly.  Everything above
+``max_degree`` is silently truncated, which keeps the algebra closed for
+series work.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from . import lyndon
 from .errors import BoundsError
 
-Scalar = int | Fraction
+Scalar = lyndon.Scalar
 
 
-def _as_fraction(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
+def _check_scalar(x: Scalar) -> Scalar:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"exact rational scalar required, got {type(x).__name__}")
 
 
 class LiePoly:
-    """A finitely supported map from Lyndon words to exact rationals.
+    """A finitely supported map from Lyndon words to exact rationals, as
+    ``num[word] / den`` with ``den > 0``, gcd(den, *num.values()) == 1, no
+    zero numerators, and zero as ``({}, 1)``.
 
     Instances are immutable after construction and safe to share.
     """
 
-    __slots__ = ("terms", "max_degree")
+    __slots__ = ("num", "den", "max_degree")
 
     def __init__(self, terms: dict[str, Scalar], max_degree: int):
+        for word, coeff in terms.items():
+            if _check_scalar(coeff) and not lyndon.is_lyndon(word) and len(word) <= max_degree:
+                raise ValueError(f"{word!r} is not a Lyndon word over {lyndon.ALPHABET}")
+        den = lcm(*(c.denominator for c in terms.values()))
+        self._set({w: c.numerator * (den // c.denominator) for w, c in terms.items()},
+                  den, max_degree)
+
+    def _set(self, num: dict[str, int], den: int, max_degree: int) -> None:
+        """num / den with zero and over-degree terms dropped, reduced."""
         if not isinstance(max_degree, int) or max_degree < 1:
             raise BoundsError(f"max_degree must be a positive integer, got {max_degree!r}")
-        clean: dict[str, Fraction] = {}
-        for word, coeff in terms.items():
-            c = _as_fraction(coeff)
-            if not c:
-                continue
-            if len(word) > max_degree:
-                continue
-            if not lyndon.is_lyndon(word):
-                raise ValueError(f"{word!r} is not a Lyndon word over {lyndon.ALPHABET}")
-            clean[word] = c
-        self.terms = clean
+        num = {w: c for w, c in num.items() if c and len(w) <= max_degree}
+        g = gcd(den, *num.values())
+        self.num = {w: c // g for w, c in num.items()} if g != 1 else num
+        self.den = den // g
         self.max_degree = max_degree
+
+    @classmethod
+    def _of(cls, num: dict[str, int], den: int, max_degree: int) -> "LiePoly":
+        """From integer numerators over den > 0, all keys Lyndon words."""
+        out = cls.__new__(cls)
+        out._set(num, den, max_degree)
+        return out
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls, max_degree: int) -> "LiePoly":
-        return cls({}, max_degree)
+        return cls._of({}, 1, max_degree)
 
     @classmethod
     def letter(cls, name: str, max_degree: int) -> "LiePoly":
-        return cls({name: Fraction(1)}, max_degree)
+        return cls({name: 1}, max_degree)
 
     # -- queries -------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[str, Fraction]:
+        """A new {word: Fraction} map of the nonzero coefficients."""
+        return {w: Fraction(c, self.den) for w, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degrees(self) -> set[int]:
-        return {len(w) for w in self.terms}
+        return {len(w) for w in self.num}
 
     def coefficient(self, word: str) -> Fraction:
-        return self.terms.get(word, Fraction(0))
+        return Fraction(self.num.get(word, 0), self.den)
 
     def truncated(self, max_degree: int) -> "LiePoly":
-        return LiePoly(self.terms, max_degree)
+        return LiePoly._of(self.num, self.den, max_degree)
 
     # -- linear structure ------------------------------------------------
 
     def __add__(self, other: "LiePoly") -> "LiePoly":
-        md = min(self.max_degree, other.max_degree)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return LiePoly(out, md)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {w: c * a for w, c in self.num.items()}
+        for w, c in other.num.items():
+            out[w] = out.get(w, 0) + c * b
+        return LiePoly._of(out, den, min(self.max_degree, other.max_degree))
 
     def __neg__(self) -> "LiePoly":
-        return LiePoly({w: -c for w, c in self.terms.items()}, self.max_degree)
+        return LiePoly._of({w: -c for w, c in self.num.items()}, self.den, self.max_degree)
 
     def __sub__(self, other: "LiePoly") -> "LiePoly":
         return self + (-other)
 
     def scale(self, s: Scalar) -> "LiePoly":
-        s = _as_fraction(s)
-        if not s:
-            return LiePoly.zero(self.max_degree)
-        return LiePoly({w: c * s for w, c in self.terms.items()}, self.max_degree)
+        s = _check_scalar(s)
+        return LiePoly._of({w: c * s.numerator for w, c in self.num.items()},
+                           self.den * s.denominator, self.max_degree)
 
     def __mul__(self, s: Scalar) -> "LiePoly":
         return self.scale(s)
@@ -102,28 +119,24 @@ class LiePoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LiePoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda s: (len(s), s)):
-            c = self.terms[w]
-            parts.append(f"{c}*({w})")
-        return " + ".join(parts)
+        return " + ".join(f"{c}*({w})" for w, c in _sorted(self.terms)) or "0"
 
     def to_json(self) -> list[dict]:
         """Sorted list of {"lyndon", "num", "den"} records."""
-        return [
-            {"lyndon": w, "num": self.terms[w].numerator, "den": self.terms[w].denominator}
-            for w in sorted(self.terms, key=lambda s: (len(s), s))
-        ]
+        return [{"lyndon": w, "num": c.numerator, "den": c.denominator}
+                for w, c in _sorted(self.terms)]
+
+
+def _sorted(terms: dict[str, Fraction]) -> list[tuple[str, Fraction]]:
+    return sorted(terms.items(), key=lambda t: (len(t[0]), t[0]))
 
 
 @lru_cache(maxsize=None)
-def _basis_pair_bracket(u: str, v: str) -> tuple[tuple[str, Fraction], ...]:
-    """[b(u), b(v)] rewritten in the Lyndon basis, as a hashable tuple."""
+def _basis_pair_bracket(u: str, v: str) -> tuple[tuple[str, int], ...]:
+    """[b(u), b(v)] in the Lyndon basis, as a hashable tuple of (word, int)."""
     if u == v:
         return ()
     env = lyndon.env_commutator(
@@ -137,14 +150,15 @@ def bracket(p: LiePoly, q: LiePoly, max_degree: int) -> LiePoly:
     """Lie bracket of two basis-form elements, truncated at max_degree.
 
     Bilinear and antisymmetric by construction; each basis pair is
-    rewritten through the associative envelope and memoized.
+    rewritten through the associative envelope and memoized.  Numerators
+    multiply as ints over the denominator p.den * q.den.
     """
-    out: dict[str, Fraction] = {}
-    for u, cu in p.terms.items():
-        for v, cv in q.terms.items():
+    out: dict[str, int] = {}
+    for u, cu in p.num.items():
+        for v, cv in q.num.items():
             if len(u) + len(v) > max_degree:
                 continue
             s = cu * cv
             for w, cw in _basis_pair_bracket(u, v):
                 out[w] = out.get(w, 0) + s * cw
-    return LiePoly(out, max_degree)
+    return LiePoly._of(out, p.den * q.den, max_degree)

@@ -4,7 +4,7 @@ basis of the free Lie algebra.
 Lie elements appear in two representations:
 
 * *basis form* -- a sparse map from Lyndon words to rational coefficients
-  (what :class:`~bracketlab.liepoly.LiePoly` stores), and
+  (what :class:`~bracketlab.liepoly.LiePoly` stores, over one denominator), and
 * *envelope form* -- a noncommutative polynomial in the free associative
   algebra, a map from arbitrary words to coefficients, where the Lie
   bracket is the commutator ``ab - ba``.
@@ -25,6 +25,7 @@ from functools import lru_cache
 from .errors import BoundsError
 
 ALPHABET = "FG"
+Scalar = int | Fraction
 MAX_WORD_DEGREE = 12
 
 
@@ -77,10 +78,11 @@ def standard_factorization(word: str) -> tuple[str, str]:
 
 # -- envelope arithmetic ----------------------------------------------------
 #
-# Envelope polynomials are plain dicts word -> Fraction with no zero values.
+# Envelope polynomials are plain dicts word -> int or Fraction with no zero
+# values; int inputs give int outputs, in the Lyndon rewrite too.
 
 
-def env_add_into(acc: dict[str, Fraction], other: dict[str, Fraction], scale=1) -> None:
+def env_add_into(acc: dict[str, Scalar], other: dict[str, Scalar], scale=1) -> None:
     for w, c in other.items():
         v = acc.get(w, 0) + c * scale
         if v:
@@ -89,8 +91,8 @@ def env_add_into(acc: dict[str, Fraction], other: dict[str, Fraction], scale=1) 
             acc.pop(w, None)
 
 
-def env_mul(a: dict[str, Fraction], b: dict[str, Fraction]) -> dict[str, Fraction]:
-    out: dict[str, Fraction] = {}
+def env_mul(a: dict[str, Scalar], b: dict[str, Scalar]) -> dict[str, Scalar]:
+    out: dict[str, Scalar] = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
             w = wa + wb
@@ -102,26 +104,26 @@ def env_mul(a: dict[str, Fraction], b: dict[str, Fraction]) -> dict[str, Fractio
     return out
 
 
-def env_commutator(a: dict[str, Fraction], b: dict[str, Fraction]) -> dict[str, Fraction]:
+def env_commutator(a: dict[str, Scalar], b: dict[str, Scalar]) -> dict[str, Scalar]:
     out = env_mul(a, b)
     env_add_into(out, env_mul(b, a), -1)
     return out
 
 
 @lru_cache(maxsize=None)
-def expand_standard_bracketing(word: str) -> dict[str, Fraction]:
+def expand_standard_bracketing(word: str) -> dict[str, int]:
     """Envelope expansion of the standard bracketing b(word) of a Lyndon
-    word.  Coefficients are integers; the smallest word is ``word`` itself
+    word.  Coefficients are ints; the smallest word is ``word`` itself
     with coefficient 1 (triangularity)."""
     if not is_lyndon(word):
         raise ValueError(f"{word!r} is not a Lyndon word")
     if len(word) == 1:
-        return {word: Fraction(1)}
+        return {word: 1}
     u, v = standard_factorization(word)
     return env_commutator(expand_standard_bracketing(u), expand_standard_bracketing(v))
 
 
-def lie_envelope_to_lyndon(env: dict[str, Fraction]) -> dict[str, Fraction]:
+def lie_envelope_to_lyndon(env: dict[str, Scalar]) -> dict[str, Scalar]:
     """Rewrite an envelope *Lie* element into the Lyndon basis.
 
     Triangular elimination: the lexicographically smallest surviving word
@@ -129,11 +131,11 @@ def lie_envelope_to_lyndon(env: dict[str, Fraction]) -> dict[str, Fraction]:
     which raises), and subtracting that multiple of its standard
     bracketing removes it without introducing smaller words.
     """
-    by_degree: dict[int, dict[str, Fraction]] = {}
+    by_degree: dict[int, dict[str, Scalar]] = {}
     for w, c in env.items():
         if c:
             by_degree.setdefault(len(w), {})[w] = c
-    out: dict[str, Fraction] = {}
+    out: dict[str, Scalar] = {}
     for _, part in sorted(by_degree.items()):
         while part:
             w = min(part)

@@ -7,6 +7,10 @@ series inverse), and the generator is V = W' W^{-1}, rewritten into the
 Lyndon basis per tau power.  This shares no code path with the Lie-series
 pullback exp(-c(tau) ad_X) used by flows.path_generator.
 
+The reference arithmetic is LiePoly's bracket, sum and scaling on plain
+{Lyndon word: Fraction} maps, with every basis pair rewritten through the
+envelope afresh.
+
 The field oracle differentiates closed-form sympy expressions with the
 coordinate bracket {f, g} = f_q g_p - f_p g_q.
 """
@@ -20,7 +24,13 @@ import sympy as sp
 
 from bracketlab import flows
 from bracketlab.liepoly import LiePoly, bracket
-from bracketlab.lyndon import env_add_into, env_mul, lie_envelope_to_lyndon
+from bracketlab.lyndon import (
+    env_add_into,
+    env_commutator,
+    env_mul,
+    expand_standard_bracketing,
+    lie_envelope_to_lyndon,
+)
 
 # -- envelope tau-series -------------------------------------------------------
 
@@ -157,6 +167,39 @@ def oracle_generator(word: flows.FlowWord, T: int) -> list[LiePoly]:
         terms = lie_envelope_to_lyndon(V.coeffs[k])
         out.append(LiePoly({w: c for w, c in terms.items() if len(w) <= T + 1}, T + 1))
     return out
+
+
+# -- reference Lie arithmetic on {Lyndon word: Fraction} maps ---------------------
+
+
+def ref_bracket(p: dict, q: dict, max_degree: int) -> dict:
+    out: dict = {}
+    for u, cu in p.items():
+        for v, cv in q.items():
+            if len(u) + len(v) > max_degree:
+                continue
+            env = env_commutator(expand_standard_bracketing(u), expand_standard_bracketing(v))
+            for w, cw in lie_envelope_to_lyndon(env).items():
+                out[w] = out.get(w, 0) + cu * cv * cw
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_add(p: dict, q: dict, max_degree: int) -> dict:
+    out = dict(p)
+    for w, c in q.items():
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c and len(w) <= max_degree}
+
+
+def ref_scale(p: dict, s) -> dict:
+    return {w: c * s for w, c in p.items() if c * s}
+
+
+def ref_json(terms: dict) -> list[dict]:
+    return [
+        {"lyndon": w, "num": terms[w].numerator, "den": terms[w].denominator}
+        for w in sorted(terms, key=lambda s: (len(s), s))
+    ]
 
 
 # -- sympy field oracle ----------------------------------------------------------

@@ -136,13 +136,19 @@ def exit_status(args):
         (["rate-scan"], {"eps_count": 2}),
         (["lemma-r", "--alpha", "0"], None),
         (["lemma-r"], {"alpha": 0}),
+        (["lemma-r", "--gamma", "nan"], None),
+        (["lemma-r", "--alpha", "-inf"], None),
+        (["lemma-r"], {"bound": float("nan")}),
+        (["symmetry", "--element", "scale", "--alpha", "inf", "--n", "32"], None),
+        (["symmetry", "--element", "scale", "--n", "32"], {"beta": float("-inf")}),
     ],
     ids=["v-text", "v-length", "N-list-text", "delta-1/0", "delta-text", "k-without-m", "N-0",
          "resolution-0", "cfg-seed", "cfg-n-text", "cfg-n-float", "cfg-trials-bool",
          "cfg-fields-number", "cfg-squares-text", "cfg-which-choice", "cfg-list",
          "witness-build-grid-n", "trials-negative", "cfg-trials-negative", "eps-min-0",
          "eps-max-negative", "cfg-eps-min-0", "eps-count-1", "cfg-eps-count-2", "alpha-0",
-         "cfg-alpha-0"],
+         "cfg-alpha-0", "gamma-nan", "alpha-minus-inf", "cfg-bound-nan", "symmetry-alpha-inf",
+         "cfg-symmetry-beta-minus-inf"],
 )
 def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     if config is not None:
@@ -162,6 +168,9 @@ def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     (["rate-scan", {"eps_count": 2}], "'eps_count'"),
     (["lemma-r", "--alpha", "0"], "--alpha"),
     (["lemma-r", {"alpha": 0}], "'alpha'"),
+    (["lemma-r", "--gamma", "nan"], "--gamma"),
+    (["symmetry", "--alpha", "inf"], "--alpha"),
+    (["symmetry", {"beta": float("-inf")}], "'beta'"),
 ])
 def test_out_of_range_value_names_its_option(tmp_path, capsys, args, named):
     if isinstance(args[-1], dict):  # the contents of a config file

@@ -6,8 +6,10 @@ pullback are unique, so any correct rewrite of either keeps them.
 """
 
 import hashlib
+from fractions import Fraction as Fr
 
-from bracketlab import expansions, witness
+from bracketlab import expansions, flows, witness
+from bracketlab.liepoly import LiePoly
 from bracketlab.reporting import canonical_json
 
 
@@ -41,4 +43,27 @@ def test_expansion_series_are_pinned():
     assert {name: _digest(s.to_json()) for name, s in series.items()} == {
         "symmetrized": "8665f34da5099f9b7004030693ed1a1eb96b02547cf387184e92f10ebfce13ff",
         "conjugated": "507685158fcd996bc05009f5a3932527bfcc60f662229a7db791f055b8882ccc",
+    }
+
+
+def _factor(a, b, c):
+    """phi_X^{c tau} for X = a F + b G."""
+    gen = LiePoly.letter("F", 2).scale(a) + LiePoly.letter("G", 2).scale(b)
+    return flows.Factor(gen, flows.poly_scale(flows.TAU, c))
+
+
+def test_nonzero_flow_series_are_pinned():
+    # four factors whose twelve rationals a, b, c have mixed signs and
+    # denominators 1, 2 and 3, so the tau^8 coefficients carry large
+    # reduced denominators; a loop w.w^-1 would pin only the zero series
+    w = flows.Product((
+        _factor(Fr(1, 2), Fr(-3), Fr(2, 3)),
+        flows.Product((_factor(Fr(-1), Fr(1, 3), Fr(3, 2)), _factor(Fr(2), Fr(-1, 2), Fr(-1, 3)))),
+        _factor(Fr(3), Fr(1), Fr(-2)),
+    ))
+    series = {"w": flows.path_generator(w, 8), "inverse": flows.path_generator(flows.Inverse(w), 8)}
+    assert all(not s.is_zero() for s in series.values())
+    assert {name: _digest(s.to_json()) for name, s in series.items()} == {
+        "w": "4863bdbd9804f9926b3322ffcae1d80424368690accf63a59e26afdb34f17b6f",
+        "inverse": "2a97aec06a909441cf9f9bf343073b5a8c3db899b3bbb91da55d7108558560d8",
     }

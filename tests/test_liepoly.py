@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bracketlab.liepoly import LiePoly, bracket
+from bracketlab.liepoly import LiePoly, _basis_pair_bracket, bracket
 from bracketlab.lyndon import lyndon_words
 
 MD = 7
@@ -117,3 +117,15 @@ def test_json_form():
         {"lyndon": "F", "num": 2, "den": 1},
         {"lyndon": "FG", "num": -2, "den": 3},
     ]
+
+
+def test_structure_constants_are_integers_to_degree_nine():
+    # the Lyndon basis is a Z-basis of the free Lie algebra, which the
+    # integer-numerator representation rests on
+    words = lyndon_words(8)
+    entries = [
+        c for u in words for v in words if len(u) + len(v) <= 9
+        for _, c in _basis_pair_bracket(u, v)
+    ]
+    assert len(entries) == 866
+    assert all(type(c) is int and c for c in entries)

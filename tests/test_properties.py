@@ -1,6 +1,7 @@
 """Property-based checks of the structural invariants."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bracketlab.jets import poisson_jet, Jet2
 from bracketlab.liepoly import LiePoly, bracket
 from bracketlab.lyndon import is_lyndon, lyndon_words
+from oracles import ref_add, ref_bracket, ref_json, ref_scale
 
 WORDS = lyndon_words(4)
 
@@ -41,6 +43,36 @@ def test_jacobi_identity(a, b, c):
         + bracket(bracket(c, a, md), b, md)
     )
     assert total.is_zero()
+
+
+def _assert_canonical(p: LiePoly):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    assert p.num or p.den == 1
+
+
+@given(
+    lie_polys(), lie_polys(), st.integers(2, 8), st.integers(2, 8),
+    st.fractions(-4, 4, max_denominator=9),
+)
+@settings(max_examples=60, deadline=None)
+def test_integer_arithmetic_matches_fraction_reference(a, b, da, db, s):
+    a, b = a.truncated(da), b.truncated(db)
+    md = min(da, db)
+    results = [
+        (bracket(a, b, md), ref_bracket(a.terms, b.terms, md)),
+        (a + b, ref_add(a.terms, b.terms, md)),
+        (a - b, ref_add(a.terms, ref_scale(b.terms, -1), md)),
+        (a - a, {}),
+    ]
+    for scalar in (s, 0, Fraction(-2, 3), -3):
+        results.append((a.scale(scalar), ref_scale(a.terms, scalar)))
+    for got, want in results:
+        _assert_canonical(got)
+        assert got.terms == want
+        assert got.to_json() == ref_json(want)
+        assert got == LiePoly(want, got.max_degree)
 
 
 @given(st.text(alphabet="FG", min_size=1, max_size=10))
