@@ -153,34 +153,41 @@ def _factors(word: FlowWord) -> list[tuple[LiePoly, TimePoly]]:
     raise TypeError(f"not a FlowWord: {word!r}")
 
 
-def _pullback(
+def _prepend_factor(
     X: LiePoly, c: TimePoly, series: list[LiePoly], max_degree: int
 ) -> list[LiePoly]:
-    """exp(-c(tau) ad_X) series = sum_k (-c(tau))^k / k! {..{series, X}.., X},
-    truncated at the series' last power tau^T and at Lie degree max_degree.
+    """The generator c'(tau) X + exp(-c(tau) ad_X) series of phi_X^{c(tau)}.b,
+    where series generates b and exp(-c ad_X) series =
+    sum_k (-c(tau))^k / k! {..{series, X}.., X}, truncated at the series'
+    last power tau^T and at Lie degree max_degree.
 
-    (-c)^k starts at tau^(k v), v the tau-valuation of c, so ad_X^k of the
-    tau^j coefficient is formed only while j + k v <= T; each bracket with
-    the degree-1 X raises the degree, so the sum also ends at max_degree.
+    (-c)^k / k! is a sparse {tau power: coefficient} map that starts at
+    tau^(k v), v the tau-valuation of c, so ad_X^k of the tau^j coefficient
+    is formed only while j + k v <= T; each bracket with the degree-1 X
+    raises the degree, so the sum also ends at max_degree.  Each tau^j
+    coefficient collects its (scalar, term) pairs and is reduced once.
     """
     T = len(series) - 1
-    v = next((i for i, a in enumerate(c) if a), T + 1)
-    powers = [[Fraction(1)] + [Fraction(0)] * T]  # (-c(tau))^k / k!, to tau^T
-    out = list(series)
-    for j, term in enumerate(series):
-        k = 1
-        while j + k * v <= T and not term.is_zero():
-            term = bracket(term, X, max_degree)
-            if k == len(powers):
-                powers.append([
-                    -sum(powers[-1][m - i] * a for i, a in enumerate(c[: m + 1])) / k
-                    for m in range(T + 1)
-                ])
-            for m, a in enumerate(powers[k][: T + 1 - j]):
-                if a:
-                    out[j + m] = out[j + m] + term.scale(a)
-            k += 1
-    return out
+    dc = poly_derivative(c) + (0,) * T
+    pairs = [[(1, p), (dc[j], X)] for j, p in enumerate(series)]
+    c = {i: a for i, a in enumerate(c) if a}
+    v = min(c, default=T + 1)
+    power, terms, k = {0: Fraction(1)}, dict(enumerate(series)), 1
+    while terms:
+        nxt: dict[int, Fraction] = {}
+        for m, b in power.items():
+            for i, a in c.items():
+                if m + i <= T:
+                    nxt[m + i] = nxt.get(m + i, 0) - a * b / k
+        power = {m: b for m, b in nxt.items() if b}
+        terms = {j: bracket(t, X, max_degree)
+                 for j, t in terms.items() if j + k * v <= T and not t.is_zero()}
+        for j, t in terms.items():
+            for m, b in power.items():
+                if j + m <= T:
+                    pairs[j + m].append((b, t))
+        k += 1
+    return [LiePoly.combination(p, max_degree) for p in pairs]
 
 
 def path_generator(word: FlowWord, truncation: int) -> LieSeries:
@@ -198,12 +205,6 @@ def path_generator(word: FlowWord, truncation: int) -> LieSeries:
         )
     T, max_degree = truncation, truncation + 1
     gen = [LiePoly.zero(max_degree)] * (T + 1)
-    # f.b, with f = phi_X^{c(tau)}, is generated by c'(tau) X + exp(-c(tau) ad_X) B
     for X, c in reversed(_factors(word)):
-        X = X.truncated(max_degree)
-        dc = poly_derivative(c)
-        gen = [
-            X.scale(dc[k] if k < len(dc) else 0) + p
-            for k, p in enumerate(_pullback(X, c, gen, max_degree))
-        ]
+        gen = _prepend_factor(X.truncated(max_degree), c, gen, max_degree)
     return LieSeries(gen, T)

@@ -29,7 +29,7 @@ def tol_disc(domain) -> float:
 
 @dataclass(frozen=True)
 class FunctionalVector:
-    """Non-negative weights (v1, v2, v3, v4), not all zero."""
+    """Finite non-negative weights (v1, v2, v3, v4), not all zero."""
 
     v1: float
     v2: float
@@ -38,8 +38,8 @@ class FunctionalVector:
 
     def __post_init__(self):
         vals = (self.v1, self.v2, self.v3, self.v4)
-        if any(v < 0 for v in vals):
-            raise PreconditionError("functional weights must be non-negative")
+        if not all(0 <= v < np.inf for v in vals):  # refuses NaN too
+            raise PreconditionError("functional weights must be finite and non-negative")
         if all(v == 0 for v in vals):
             raise PreconditionError("functional weight vector must be non-zero")
 

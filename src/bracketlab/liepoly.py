@@ -92,24 +92,30 @@ class LiePoly:
 
     # -- linear structure ------------------------------------------------
 
+    @classmethod
+    def combination(cls, pairs: list[tuple[Scalar, "LiePoly"]], max_degree: int) -> "LiePoly":
+        """sum s * p over the (s, p) pairs, truncated at max_degree: integer
+        numerators over one common denominator, reduced once."""
+        pairs = [(s, p) for s, p in pairs if _check_scalar(s)]
+        den = lcm(*[s.denominator * p.den for s, p in pairs])
+        out: dict[str, int] = {}
+        for s, p in pairs:
+            f = s.numerator * (den // (s.denominator * p.den))
+            for w, c in p.num.items():
+                out[w] = out.get(w, 0) + c * f
+        return cls._of(out, den, max_degree)
+
     def __add__(self, other: "LiePoly") -> "LiePoly":
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        out = {w: c * a for w, c in self.num.items()}
-        for w, c in other.num.items():
-            out[w] = out.get(w, 0) + c * b
-        return LiePoly._of(out, den, min(self.max_degree, other.max_degree))
+        return LiePoly.combination([(1, self), (1, other)], min(self.max_degree, other.max_degree))
 
     def __neg__(self) -> "LiePoly":
-        return LiePoly._of({w: -c for w, c in self.num.items()}, self.den, self.max_degree)
+        return self.scale(-1)
 
     def __sub__(self, other: "LiePoly") -> "LiePoly":
-        return self + (-other)
+        return LiePoly.combination([(1, self), (-1, other)], min(self.max_degree, other.max_degree))
 
     def scale(self, s: Scalar) -> "LiePoly":
-        s = _check_scalar(s)
-        return LiePoly._of({w: c * s.numerator for w, c in self.num.items()},
-                           self.den * s.denominator, self.max_degree)
+        return LiePoly.combination([(s, self)], self.max_degree)
 
     def __mul__(self, s: Scalar) -> "LiePoly":
         return self.scale(s)

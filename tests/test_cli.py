@@ -141,6 +141,9 @@ def exit_status(args):
         (["lemma-r"], {"bound": float("nan")}),
         (["symmetry", "--element", "scale", "--alpha", "inf", "--n", "32"], None),
         (["symmetry", "--element", "scale", "--n", "32"], {"beta": float("-inf")}),
+        (["symmetry", "--v", "nan,1,1,1", "--n", "32"], None),
+        (["symmetry", "--v", "1,inf,1,1", "--n", "32"], None),
+        (["symmetry", "--n", "32"], {"v": "1,0,0,nan"}),
     ],
     ids=["v-text", "v-length", "N-list-text", "delta-1/0", "delta-text", "k-without-m", "N-0",
          "resolution-0", "cfg-seed", "cfg-n-text", "cfg-n-float", "cfg-trials-bool",
@@ -148,7 +151,7 @@ def exit_status(args):
          "witness-build-grid-n", "trials-negative", "cfg-trials-negative", "eps-min-0",
          "eps-max-negative", "cfg-eps-min-0", "eps-count-1", "cfg-eps-count-2", "alpha-0",
          "cfg-alpha-0", "gamma-nan", "alpha-minus-inf", "cfg-bound-nan", "symmetry-alpha-inf",
-         "cfg-symmetry-beta-minus-inf"],
+         "cfg-symmetry-beta-minus-inf", "v-nan", "v-inf", "cfg-v-nan"],
 )
 def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     if config is not None:
@@ -171,6 +174,8 @@ def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     (["lemma-r", "--gamma", "nan"], "--gamma"),
     (["symmetry", "--alpha", "inf"], "--alpha"),
     (["symmetry", {"beta": float("-inf")}], "'beta'"),
+    (["symmetry", "--v", "nan,1,1,1"], "--v"),
+    (["symmetry", {"v": "1,0,0,nan"}], "'v'"),
 ])
 def test_out_of_range_value_names_its_option(tmp_path, capsys, args, named):
     if isinstance(args[-1], dict):  # the contents of a config file

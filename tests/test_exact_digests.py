@@ -46,10 +46,15 @@ def test_expansion_series_are_pinned():
     }
 
 
+def _timed_factor(a, b, *time):
+    """phi_X^{c(tau)} for X = a F + b G and c(tau) = time[0] + time[1] tau + ..."""
+    gen = LiePoly.letter("F", 2).scale(a) + LiePoly.letter("G", 2).scale(b)
+    return flows.Factor(gen, flows.time_poly(*time))
+
+
 def _factor(a, b, c):
     """phi_X^{c tau} for X = a F + b G."""
-    gen = LiePoly.letter("F", 2).scale(a) + LiePoly.letter("G", 2).scale(b)
-    return flows.Factor(gen, flows.poly_scale(flows.TAU, c))
+    return _timed_factor(a, b, 0, c)
 
 
 def test_nonzero_flow_series_are_pinned():
@@ -66,4 +71,22 @@ def test_nonzero_flow_series_are_pinned():
     assert {name: _digest(s.to_json()) for name, s in series.items()} == {
         "w": "4863bdbd9804f9926b3322ffcae1d80424368690accf63a59e26afdb34f17b6f",
         "inverse": "2a97aec06a909441cf9f9bf343073b5a8c3db899b3bbb91da55d7108558560d8",
+    }
+
+
+def test_mixed_time_flow_series_are_pinned():
+    # a constant, a linear, a quadratic and a mixed time c = 1/2 - tau + 2/3 tau^2:
+    # constant parts put every power of c(tau) at every tau order, and the
+    # mixed time gives those powers cross terms
+    w = flows.Product((
+        _timed_factor(Fr(1, 2), Fr(-1), Fr(1, 3)),
+        _timed_factor(Fr(2), Fr(1, 3), 0, Fr(-3, 2)),
+        flows.Inverse(_timed_factor(Fr(-1), Fr(3, 2), 0, 0, Fr(2, 3))),
+        _timed_factor(Fr(1), Fr(-2), Fr(1, 2), -1, Fr(2, 3)),
+    ))
+    series = {"w": flows.path_generator(w, 8), "inverse": flows.path_generator(flows.Inverse(w), 8)}
+    assert all(not s.is_zero() for s in series.values())
+    assert {name: _digest(s.to_json()) for name, s in series.items()} == {
+        "w": "a721090e57e964d0f34b7e4ed34f4e56a7d694941ad80b31197ee9e27d43ed1c",
+        "inverse": "4a1764ab65e3c4773cc1fae11626ffa13d43c2afbb747bc035c1a64aa1fa7b7e",
     }

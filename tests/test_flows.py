@@ -254,3 +254,25 @@ def test_inverse_cancels_both_orders_arbitrary_starts(seed):
     word = _random_word_any_start(rng, int(rng.integers(1, 3)))
     assert path_generator(Product((word, Inverse(word))), 3).is_zero()
     assert path_generator(Product((Inverse(word), word)), 3).is_zero()
+
+
+# times with several nonzero terms, constants included: the powers
+# (-c(tau))^k / k! of the pullback then have cross terms at every tau order
+MIXED_TIME = time_poly(Fraction(1, 2), -1, Fraction(2, 3))
+MIXED_TIME_WORDS = {
+    "product": Product((Factor(F(2), MIXED_TIME), Factor(G(2), time_poly(0, 1, Fraction(-1, 2))))),
+    "conjugate": Conjugate(Factor(G(2), time_poly(Fraction(-1, 3), 0, Fraction(3, 2))),
+                           by=Factor(F(2) + G(2).scale(2), MIXED_TIME)),
+    "commutator": commutator(Factor(F(2), time_poly(1, Fraction(1, 2))),
+                             Factor(G(2).scale(-1), time_poly(Fraction(-1, 2), 0, 1))),
+}
+
+
+@pytest.mark.parametrize("name", MIXED_TIME_WORDS)
+def test_generator_matches_oracle_with_mixed_times(name):
+    word, T = MIXED_TIME_WORDS[name], 3
+    series = path_generator(word, T)
+    expected = oracle_generator(word, T)
+    assert not series.is_zero()
+    for k in range(T + 1):
+        assert series.coefficient(k) == expected[k], f"tau^{k} mismatch ({name})"

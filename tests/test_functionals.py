@@ -23,8 +23,9 @@ from bracketlab.jets import jet_cos
 def test_functional_vector_validation():
     with pytest.raises(PreconditionError):
         FunctionalVector(0, 0, 0, 0)
-    with pytest.raises(PreconditionError):
-        FunctionalVector(1, -0.5, 0, 0)
+    for bad in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(PreconditionError):
+            FunctionalVector(1, bad, 0, 0)
     v = FunctionalVector(1, 2, 3, 4)
     assert v.A().as_tuple() == (2, 1, 3, 4)
     assert v.B().as_tuple() == (1, 2, 4, 3)

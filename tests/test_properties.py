@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bracketlab.jets import poisson_jet, Jet2
@@ -73,6 +73,28 @@ def test_integer_arithmetic_matches_fraction_reference(a, b, da, db, s):
         assert got.terms == want
         assert got.to_json() == ref_json(want)
         assert got == LiePoly(want, got.max_degree)
+
+
+@given(
+    st.lists(st.tuples(st.fractions(-4, 4, max_denominator=9) | st.integers(-3, 3),
+                       lie_polys(), st.integers(2, 8)), max_size=5),
+    st.integers(1, 8),
+)
+@example([], 3)
+@example([(0, LiePoly.letter("F", 4), 4), (Fraction(-1, 2), LiePoly.letter("G", 2), 2)], 3)
+@settings(max_examples=60, deadline=None)
+def test_combination_matches_folded_fraction_reference(items, md):
+    # int and Fraction scalars, zero ones among them, operands of different
+    # max_degree, and the empty list
+    pairs = [(s, p.truncated(d)) for s, p, d in items]
+    want: dict = {}
+    for s, p in pairs:
+        want = ref_add(want, ref_scale(p.terms, s), md)
+    got = LiePoly.combination(pairs, md)
+    _assert_canonical(got)
+    assert got.terms == want
+    assert got.to_json() == ref_json(want)
+    assert got.max_degree == md
 
 
 @given(st.text(alphabet="FG", min_size=1, max_size=10))
