@@ -65,10 +65,12 @@ class Jet2:
         return Jet2(order, {ij: c for ij, c in self.coeffs.items() if sum(ij) <= order})
 
     def dp(self) -> "Jet2":
-        return self._lowered({(i - 1, j): i * c for (i, j), c in self.coeffs.items() if i})
+        return self._lowered({(i - 1, j): i * c if i > 1 else c  # shared: never written in place
+                              for (i, j), c in self.coeffs.items() if i})
 
     def dq(self) -> "Jet2":
-        return self._lowered({(i, j - 1): j * c for (i, j), c in self.coeffs.items() if j})
+        return self._lowered({(i, j - 1): j * c if j > 1 else c
+                              for (i, j), c in self.coeffs.items() if j})
 
     def _lowered(self, coeffs: dict) -> "Jet2":
         if (0, 0) not in coeffs:

@@ -359,10 +359,8 @@ def rate_report(
             checks["strict_decrease_everywhere"] = check(
                 min(r["decrease"] for r in rows), 0.0, ">", "sampled")
         else:
-            fit["C13_envelope"] = c13 = max(
+            fit["C13_envelope"] = max(
                 r["decrease"] / r["eps"] ** (1.0 / 3.0) for r in rows if r["decrease"] > 0)
-            # c13 is the envelope of these same rows: margin 0 by construction
-            checks["decreases_below_C13_eps13"] = check(c13, c13, "<=", "fitted")
             checks["exponent_at_least_one_third"] = check(
                 fit["exponent"], 1.0 / 3.0 - 0.05, ">=", "fitted")
         fit["observed_exponent_position"] = _position(fit["exponent"])
