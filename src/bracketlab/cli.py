@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Every command resolves its options from (defaults <- config file <- CLI
-flags), echoes the normalized configuration into its artifacts, and exits
-with a total status taxonomy:
+Every command declares only the options it reads, resolves them from
+(defaults <- config file <- CLI flags), echoes them into its JSON record,
+and exits with a total status taxonomy:
 
     0  run completed, all asserted checks passed
     1  run completed, a mathematical check failed
@@ -133,11 +133,11 @@ class Option:
 
 
 COMMON_OPTIONS = {
-    "seed": Option(0, integer, "random seed"),
     "out_dir": Option(None, text, "artifact directory (default $BRACKETLAB_OUT or cwd)"),
     "json": Option(None, text, "JSON artifact path"),
-    "csv": Option(None, text, "CSV artifact path"),
 }
+SEED = Option(0, integer, "random seed")
+CSV = Option(None, text, "CSV artifact path")
 FIELD_PAIR = Option("sin-sin", text, "field pair: sin-sin, witness, or name,name")
 GRID_256 = Option(256, integer, "grid points per axis")
 GRID_128 = Option(128, integer, "grid points per axis")
@@ -159,9 +159,6 @@ def command(name: str, help_: str, **options: Option):
 class RunConfig:
     command: str
     options: dict
-
-    def normalized(self) -> dict:
-        return {"command": self.command, **{k: self.options[k] for k in sorted(self.options)}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +302,8 @@ def cmd_witness_build(o: dict):
 @command("witness-verify", "ratio and residual scan of the perturbed double bracket",
          N_list=Option("100,1000,10000", int_list, "comma-separated frequencies",
                        flags=("--N-list", "--N")),
-         grid_n=Option(2048, integer, "window grid points per axis", flags=("--grid-n", "--n")))
+         grid_n=Option(2048, integer, "window grid points per axis", flags=("--grid-n", "--n")),
+         csv=CSV)
 def cmd_witness_verify(o: dict):
     fields = build_witness()
     out = verify_oscillation_ratios(fields, _split(o["N_list"], int), o["grid_n"])
@@ -317,7 +315,7 @@ def cmd_witness_verify(o: dict):
 
 @command("lh-check", "Landau-Hadamard inequality for the double bracket",
          fields=FIELD_PAIR, n=GRID_256,
-         trials=Option(0, count, "additional random trig-polynomial pairs"))
+         trials=Option(0, count, "additional random trig-polynomial pairs"), seed=SEED)
 def cmd_lh_check(o: dict):
     F, G = resolve_pair(o["fields"], o["n"])
     checks = {"given_pair": lh_check(F, G)}
@@ -333,15 +331,13 @@ def cmd_lh_check(o: dict):
 
 @command("kolmogorov", "oscillation ratio of iterated ad-power brackets",
          fields=FIELD_PAIR, n=GRID_256,
-         N=Option(1, integer, "power N of (ad_F)^N G"),
+         N=Option(None, integer, "power N of (ad_F)^N G; 1 when --k and --m are unset"),
          k=Option(None, integer, "k of H = (ad_G)^k F in (ad_H)^m G; needs --m"),
          m=Option(None, integer, "power m of (ad_H)^m G; needs --k"))
 def cmd_kolmogorov(o: dict):
     F, G = resolve_pair(o["fields"], o["n"])
-    if o["k"] is not None or o["m"] is not None:
-        report = kolmogorov_ratio(F, G, k=o["k"], m=o["m"])
-    else:
-        report = kolmogorov_ratio(F, G, N=o["N"])
+    N = 1 if o["N"] is None and o["k"] is None and o["m"] is None else o["N"]
+    report = kolmogorov_ratio(F, G, N=N, k=o["k"], m=o["m"])
     return _functional("iterated ad-power oscillation", report["ratio"], o["n"], report)
 
 
@@ -400,7 +396,7 @@ def cmd_symmetry(o: dict):
          eps_max=Option(1e-1, positive, "largest perturbation size"),
          eps_count=Option(10, _converter("count (>= 3)", int, str, int, ok=lambda x: x >= 3),
                           "log-spaced perturbation sizes"),
-         budget=Option(200, integer, "function evaluations per search"))
+         budget=Option(200, integer, "function evaluations per search"), seed=SEED, csv=CSV)
 def cmd_rate_scan(o: dict):
     F, G = resolve_pair("sin-sin", o["n"])
     eps_grid = np.logspace(np.log10(o["eps_min"]), np.log10(o["eps_max"]), o["eps_count"])
@@ -416,7 +412,7 @@ def cmd_rate_scan(o: dict):
 
 @command("bracket-eval", "evaluate an iterated bracket word to a CSV matrix",
          word=Option("{{F,G},F}", text, "bracket word over the letters F and G"),
-         fields=FIELD_PAIR, n=GRID_256)
+         fields=FIELD_PAIR, n=GRID_256, csv=CSV)
 def cmd_bracket_eval(o: dict):
     F, G = resolve_pair(o["fields"], o["n"])
     word = BracketWord.parse(o["word"])
@@ -429,23 +425,23 @@ def cmd_bracket_eval(o: dict):
 def run(cfg: RunConfig) -> int:
     """Run one command and write its artifacts.  A command returns (report,
     table) with report["checks"] mapping names to reporting.check records;
-    the run passes when every record passes, so a command with none passes."""
+    the run passes when every record passes, so a command with none passes.
+    The JSON record is written last, so a failed run leaves none behind."""
     report, table = COMMANDS[cfg.command].run(cfg.options)
     ok = all(c["pass"] for c in report["checks"].values())
+    out_dir = cfg.options["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
+    if table is not None:
+        write_csv(*table, cfg.options["csv"] or os.path.join(out_dir, f"{cfg.command}.csv"))
     payload = {
         "tool": "bracketlab",
         "version": __version__,
-        "config": cfg.normalized(),
+        "config": {"command": cfg.command, **cfg.options},
         "pass": ok,
         "report": report,
     }
-    out_dir = cfg.options["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     json_path = cfg.options["json"] or os.path.join(out_dir, f"{cfg.command}.json")
     write_json(payload, json_path)
-    if table is not None:
-        csv_path = cfg.options["csv"] or os.path.join(out_dir, f"{cfg.command}.csv")
-        write_csv(*table, csv_path)
     print(f"{cfg.command}: {'PASS' if ok else 'FAIL'} ({json_path})")
     return 0 if ok else 1
 

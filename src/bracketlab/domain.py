@@ -29,8 +29,8 @@ class Domain2:
         if not isinstance(self.n, int) or self.n < MIN_GRID:
             raise BoundsError(f"grid resolution must be an integer >= {MIN_GRID}")
         p0, p1, q0, q1 = self.bounds
-        if not (p1 > p0 and q1 > q0):
-            raise PreconditionError("degenerate rectangle bounds")
+        if not (p1 > p0 and q1 > q0 and np.all(np.isfinite(self.bounds))):
+            raise PreconditionError(f"rectangle bounds not finite and increasing: {self.bounds}")
 
     @classmethod
     def torus(cls, n: int) -> "Domain2":

@@ -2,8 +2,8 @@
 
 Identical inputs must produce identical bytes: keys are sorted, floats
 print with 17 significant digits, newlines are LF, encoding is UTF-8.
-Artifacts are written to a temporary file and atomically renamed so a
-failed run never leaves partial output behind.
+An artifact is written to a temp file and atomically renamed; the CLI writes
+the JSON record last, so a failed run leaves no partial file and no record.
 """
 
 from __future__ import annotations

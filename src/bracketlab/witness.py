@@ -148,8 +148,10 @@ class WitnessConfig:
     window_margin: Fraction = Fraction(1, 20)
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise PreconditionError("delta must be positive")
+        wiggle = 2 * (2 * self.spike_blend + self.spike_plateau) + 4 * self.ramp_len
+        if self.delta <= wiggle:
+            raise PreconditionError(f"delta must be > {wiggle} for the wiggle pieces to fit "
+                                    f"inside [c2, c3], got {self.delta}")
         if self.q_start <= 0:
             raise PreconditionError("construction must live in the positive half-line")
         for name, L, drop in (
@@ -168,8 +170,6 @@ class WitnessConfig:
             raise ConstructionError(
                 f"taper length {self.taper_len} cannot carry {self.a_start} under |a'| <= 0.03"
             )
-        if 2 * (2 * self.spike_blend + self.spike_plateau) + 4 * self.ramp_len >= self.delta:
-            raise ConstructionError("wiggle pieces do not fit inside [c2, c3]")
 
     @property
     def c2(self) -> Fraction:

@@ -30,7 +30,7 @@ def test_parse_lemma_r_defaults():
 
 
 def test_seed_defaults_to_zero():
-    args = build_parser().parse_args(["bch"])
+    args = build_parser().parse_args(["lh-check"])
     assert resolve_config(args).options["seed"] == 0
 
 
@@ -144,6 +144,12 @@ def exit_status(args):
         (["symmetry", "--v", "nan,1,1,1", "--n", "32"], None),
         (["symmetry", "--v", "1,inf,1,1", "--n", "32"], None),
         (["symmetry", "--n", "32"], {"v": "1,0,0,nan"}),
+        (["bch", "--seed", "1"], None),
+        (["bch", "--csv", "x.csv"], None),
+        (["witness-verify", "--seed", "1"], None),
+        (["bch"], {"seed": 0}),
+        (["kolmogorov", "--N", "3", "--k", "1", "--m", "1", "--n", "32"], None),
+        (["witness-build", "--delta", "1/100"], None),
     ],
     ids=["v-text", "v-length", "N-list-text", "delta-1/0", "delta-text", "k-without-m", "N-0",
          "resolution-0", "cfg-seed", "cfg-n-text", "cfg-n-float", "cfg-trials-bool",
@@ -151,7 +157,8 @@ def exit_status(args):
          "witness-build-grid-n", "trials-negative", "cfg-trials-negative", "eps-min-0",
          "eps-max-negative", "cfg-eps-min-0", "eps-count-1", "cfg-eps-count-2", "alpha-0",
          "cfg-alpha-0", "gamma-nan", "alpha-minus-inf", "cfg-bound-nan", "symmetry-alpha-inf",
-         "cfg-symmetry-beta-minus-inf", "v-nan", "v-inf", "cfg-v-nan"],
+         "cfg-symmetry-beta-minus-inf", "v-nan", "v-inf", "cfg-v-nan", "bch-seed", "bch-csv",
+         "witness-verify-seed", "cfg-bch-seed", "N-with-k-m", "delta-too-small"],
 )
 def test_malformed_values_exit_2(tmp_path, capsys, args, config):
     if config is not None:
@@ -204,9 +211,11 @@ def _field_csv(meta="16,%.17g,torus" % (2 * pi / 16), first="0.5", cell="0.5"):
         _field_csv(first="nan", cell="nan"),
         _field_csv(meta="16,5,torus"),
         _field_csv(meta="16,0.5,rect:0:1:0:1"),
+        _field_csv(meta="16,0.5,rect:0:inf:0:1"),
     ],
     ids=["n-not-integer", "empty", "header-only", "cell-text", "rect-two-bounds",
-         "rect-bound-text", "all-nan", "torus-h-not-spacing", "rect-h-not-spacing"],
+         "rect-bound-text", "all-nan", "torus-h-not-spacing", "rect-h-not-spacing",
+         "rect-inf-bound"],
 )
 def test_malformed_field_csv_exit_2(tmp_path, capsys, text):
     path = tmp_path / "X.csv"
@@ -216,6 +225,12 @@ def test_malformed_field_csv_exit_2(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "usage error" in err and str(path) in err
     assert [p.name for p in tmp_path.iterdir()] == ["X.csv"]
+
+
+def test_unwritable_csv_leaves_no_json(tmp_path):
+    csv = tmp_path / "missing" / "x.csv"
+    assert run_cli(["bracket-eval", "--n", "32", "--csv", str(csv)], tmp_path) == 3
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_config_values_are_converted_like_flags(tmp_path):
@@ -341,6 +356,7 @@ def test_kolmogorov_iterated_form_cli(tmp_path):
     payload = json.loads((tmp_path / "kolmogorov.json").read_text())
     assert payload["report"]["form"] == "adH^m G"
     assert "value" in payload["report"]
+    assert payload["config"]["N"] is None
 
 
 def test_functional_reports_carry_value_grid_checks(tmp_path):
@@ -414,18 +430,19 @@ PINNED_RUNS = [
 
 @pytest.fixture(scope="module")
 def pinned(tmp_path_factory):
-    """Each pinned run once: its args -> (exit status, JSON payload)."""
+    """Each pinned run once: its args -> (exit status, JSON payload, wrote a CSV)."""
     out = {}
     for args in PINNED_RUNS:
         d = tmp_path_factory.mktemp(args[0])
         status = main(args + ["--out-dir", str(d)])
-        out[tuple(args)] = status, json.loads((d / f"{args[0]}.json").read_text())
+        payload = json.loads((d / f"{args[0]}.json").read_text())
+        out[tuple(args)] = status, payload, (d / f"{args[0]}.csv").exists()
     return out
 
 
 @pytest.mark.parametrize("args", PINNED_RUNS, ids=" ".join)
 def test_pinned_run_verdicts(pinned, args):
-    status, payload = pinned[tuple(args)]
+    status, payload, _ = pinned[tuple(args)]
     assert (status, payload["pass"]) == (0, True)
 
 
@@ -433,9 +450,17 @@ def test_pinned_run_verdicts(pinned, args):
 def test_every_check_is_one_record(pinned, command):
     runs = [run for args, run in pinned.items() if args[0] == command]
     assert runs, f"no pinned run of {command}"
-    for _, payload in runs:
+    for _, payload, _ in runs:
         checks = payload["report"]["checks"]
         for record in checks.values():
             assert set(record) == {"value", "bound", "sense", "method", "tol", "margin", "pass"}
             assert record["method"] in METHODS
         assert payload["pass"] == all(c["pass"] for c in checks.values())
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_command_declares_only_the_options_it_reads(pinned, command):
+    options = COMMANDS[command].options
+    wrote_csv = {csv for args, (_, _, csv) in pinned.items() if args[0] == command}
+    assert wrote_csv == {"csv" in options}
+    assert ("seed" in options) == (command in ("lh-check", "rate-scan"))
