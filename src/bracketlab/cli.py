@@ -263,6 +263,14 @@ def _random_trig_pair(rng: np.random.Generator, dom: Domain2):
 # -- commands ---------------------------------------------------------------------
 
 
+def _refuse_unread(o: dict, command: str, keys: tuple, why: str):
+    """Refuse options set away from their defaults, by flag or config key,
+    that this run of the command would echo without reading."""
+    for key in keys:
+        if o[key] != COMMANDS[command].options[key].default:
+            raise PreconditionError(f"--{key} {why}")
+
+
 def _functional(name: str, value, grid: int, report: dict):
     """A grid functional's command result: the report under what it is, its
     headline value and its grid.  A report with no checks (kolmogorov's
@@ -317,6 +325,8 @@ def cmd_witness_verify(o: dict):
          fields=FIELD_PAIR, n=GRID_256,
          trials=Option(0, count, "additional random trig-polynomial pairs"), seed=SEED)
 def cmd_lh_check(o: dict):
+    if not o["trials"]:
+        _refuse_unread(o, "lh-check", ("seed",), "draws the random pairs of --trials, which is 0")
     F, G = resolve_pair(o["fields"], o["n"])
     checks = {"given_pair": lh_check(F, G)}
     rng = np.random.default_rng(o["seed"])
@@ -347,6 +357,8 @@ def cmd_kolmogorov(o: dict):
          squares=Option(False, switch, "check the squared double-bracket identity form instead"))
 def cmd_integral_identity(o: dict):
     if o["squares"]:
+        _refuse_unread(o, "integral-identity", ("fields",), "is not read with --squares, "
+                       "which checks sin p, sin q")
         report = squared_bracket_identity_check(*resolve_pair("sin-sin", o["n"]))
     else:
         names = o["fields"].split(",")
@@ -376,6 +388,8 @@ def cmd_y_bound(o: dict):
          alpha=Option(2.0, number, "scale of F for --element scale"),
          beta=Option(3.0, number, "scale of G for --element scale"))
 def cmd_symmetry(o: dict):
+    if o["element"] in ("A", "B", "C"):
+        _refuse_unread(o, "symmetry", ("alpha", "beta"), "is read only with --element scale or all")
     F, G = resolve_pair(o["fields"], o["n"])
     v = FunctionalVector(*_split(o["v"], float))
     elements = ["A", "B", "C", "scale"] if o["element"] == "all" else [o["element"]]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .domain import Domain2
 from .errors import BoundsError, DomainMismatchError, PreconditionError
-from .jets import Jet2, jet_sin
+from .jets import Jet2, jet_sin, sum_of_products
 from .reporting import write_csv
 
 MAX_JET_ORDER = 4
@@ -274,13 +274,12 @@ def trig_polynomial(domain: Domain2, coeffs: np.ndarray, phases_p=None, phases_q
 
     def build(jp: Jet2, jq: Jet2) -> Jet2:
         sq = [jet_sin(jq.scale(l + 1.0) + aq[l]) for l in range(L)]
-        out = None
+        rows = []
         for k, row in enumerate(coeffs):
             gk = [sq[l].scale(c) for l, c in enumerate(row) if c != 0.0]
             if gk:
-                term = jet_sin(jp.scale(k + 1.0) + ap[k]) * reduce(operator.add, gk)
-                out = term if out is None else out + term
-        return out if out is not None else jp.scale(0.0)
+                rows.append((jet_sin(jp.scale(k + 1.0) + ap[k]), reduce(operator.add, gk)))
+        return sum_of_products(rows) if rows else jp.scale(0.0)
 
     return AnalyticField(domain, build)
 

@@ -9,10 +9,18 @@ unchanged by that, but an exact zero may read -0 where adding +0 would
 have made it 0.  Sums, products, and univariate compositions are exact on
 the truncated polynomial ring, so iterated Poisson brackets of analytic
 fields are computed without differentiation noise.
+
+Products, compositions and sums of products share one kernel that forms
+each output coefficient in turn: its first product is a new array, and
+later terms are added into it in place in the order of the fold
+out + a * b, so every value and the sign of every zero are the fold's.
+No call writes an array it did not allocate, so jets may share arrays.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -44,7 +52,7 @@ class Jet2:
     def from_univariate(cls, derivs: list, order: int, axis: str) -> "Jet2":
         """Promote 1-D raw derivatives of f(p) (axis='p') or f(q) to 2-D."""
         return cls(order, {
-            ((k, 0) if axis == "p" else (0, k)): np.asarray(derivs[k], dtype=float) / factorial(k)
+            ((k, 0) if axis == "p" else (0, k)): _taylor(derivs[k], k)
             for k in range(min(order + 1, len(derivs)))
         })
 
@@ -77,17 +85,20 @@ class Jet2:
             coeffs[(0, 0)] = np.zeros_like(self.value)
         return Jet2(self.order - 1, coeffs)
 
+    def _linear(self, other, op, lone) -> "Jet2":
+        """self op other for op + or -; lone(c) stands for op(0, c) where
+        self has no coefficient."""
+        if not isinstance(other, Jet2):
+            return Jet2(self.order, {**self.coeffs, (0, 0): op(self.value, other)})
+        m = min(self.order, other.order)
+        out = {ij: c for ij, c in self.coeffs.items() if sum(ij) <= m}
+        for ij, c in other.coeffs.items():
+            if sum(ij) <= m:
+                out[ij] = op(out[ij], c) if ij in out else lone(c)
+        return Jet2(m, out)
+
     def __add__(self, other):
-        if isinstance(other, Jet2):
-            m = min(self.order, other.order)
-            out = {ij: c for ij, c in self.coeffs.items() if sum(ij) <= m}
-            for ij, c in other.coeffs.items():
-                if sum(ij) <= m:
-                    out[ij] = out[ij] + c if ij in out else c
-            return Jet2(m, out)
-        out = dict(self.coeffs)
-        out[(0, 0)] = out[(0, 0)] + other
-        return Jet2(self.order, out)
+        return self._linear(other, operator.add, lambda c: c)
 
     __radd__ = __add__
 
@@ -95,9 +106,8 @@ class Jet2:
         return Jet2(self.order, {ij: -c for ij, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return self + (-other)
-        return self + (-np.asarray(other))
+        # x - y is x + (-y) in IEEE arithmetic, signed zeros included
+        return self._linear(other, operator.sub, operator.neg)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -109,7 +119,7 @@ class Jet2:
         if not isinstance(other, Jet2):
             return self.scale(other)
         m = min(self.order, other.order)
-        return Jet2(m, _product(self.coeffs, other.coeffs, m))
+        return Jet2(m, _sum_of_products([(self.coeffs, other.coeffs)], m))
 
     __rmul__ = __mul__
 
@@ -118,31 +128,71 @@ class Jet2:
         value array u0; exact on the truncated ring."""
         m = self.order
         z = {ij: c for ij, c in self.coeffs.items() if ij != (0, 0)}  # self - u0
-        out = {(0, 0): np.asarray(outer_derivs[0], dtype=float)}
-        zk = z
+        powers = []  # z^1 .. z^m
         for k in range(1, m + 1):
-            if k > 1:
-                zk = _product(zk, z, m)
-            s = np.asarray(outer_derivs[k], dtype=float) / factorial(k)
-            for ij, c in zk.items():
-                out[ij] = out[ij] + c * s if ij in out else c * s
-        return Jet2(m, out)
+            powers.append(z if k == 1 else _sum_of_products([(powers[-1], z)], m))
+        terms = [(zk, {(0, 0): _taylor(outer_derivs[k], k)}) for k, zk in enumerate(powers, 1)]
+        return Jet2(m, {(0, 0): np.asarray(outer_derivs[0], dtype=float),
+                        **_sum_of_products(terms, m)})
 
 
-def _product(a: dict, b: dict, m: int) -> dict:
-    """Coefficients of the order-m product of two coefficient dicts.  Each
-    coefficient sums its terms in _triangle order of a's multi-indices, so
-    a truncated product equals the lower-order one bit for bit."""
+def sum_of_products(pairs: list) -> Jet2:
+    """The sum of a * b over the (a, b) jet pairs, at the lowest order of
+    any pair; bit for bit the fold of + over the products."""
+    m = min(min(a.order, b.order) for a, b in pairs)
+    return Jet2(m, _sum_of_products([(a.coeffs, b.coeffs) for a, b in pairs], m))
+
+
+def _taylor(deriv, k: int):
+    """The Taylor coefficient deriv / k!; not divided, and so possibly the
+    caller's array, for k < 2."""
+    c = np.asarray(deriv, dtype=float)
+    return c if k < 2 else c / factorial(k)
+
+
+@lru_cache(maxsize=1024)
+def _plan(keys: tuple, m: int) -> tuple:
+    """For pairs of coefficient dicts with these (left keys, right keys):
+    each multi-index of the order-m sum of their products, with the pairs
+    that feed it in list order, each with its (left, right) key pairs in
+    _triangle order of the left key, so a truncated product equals the
+    lower-order one bit for bit."""
+    plan = {}
+    for n, (a_keys, b_keys) in enumerate(keys):
+        for i1, j1 in (ij for ij in _triangle(m) if ij in a_keys):
+            for i2, j2 in b_keys:
+                if i1 + i2 + j1 + j2 <= m:
+                    terms = plan.setdefault((i1 + i2, j1 + j2), {})
+                    terms.setdefault(n, []).append(((i1, j1), (i2, j2)))
+    return tuple((ij, tuple((n, tuple(p)) for n, p in terms.items()))
+                 for ij, terms in plan.items())
+
+
+def _sum_of_products(pairs: list, m: int) -> dict:
+    """Coefficients of the order-m sum of a * b over pairs of coefficient
+    dicts, one at a time; a pair that gives a coefficient several terms is
+    summed on its own and then added, as the fold out + a * b adds it."""
     out = {}
-    for i1, j1 in _triangle(m):
-        x = a.get((i1, j1))
-        if x is None:
-            continue
-        for (i2, j2), y in b.items():
-            if i1 + i2 + j1 + j2 <= m:
-                ij = (i1 + i2, j1 + j2)
-                out[ij] = out[ij] + x * y if ij in out else x * y
+    for ij, terms in _plan(tuple([(tuple(a), tuple(b)) for a, b in pairs]), m):
+        acc = None
+        for n, key_pairs in terms:
+            a, b = pairs[n]
+            term = None
+            for ka, kb in key_pairs:
+                x = a[ka] * b[kb]
+                term = x if term is None else _add_into(term, x)
+            acc = term if acc is None else _add_into(acc, term)
+        out[ij] = acc
     return out
+
+
+def _add_into(acc, x):
+    """acc + x, written into acc, an array the kernel allocated, when it
+    has the shape and type of the sum."""
+    if acc.shape == x.shape and acc.dtype == x.dtype:
+        acc += x
+        return acc
+    return acc + x
 
 
 def _trig_derivs(u0, order: int, fn: str) -> list:

@@ -13,16 +13,23 @@ envelope afresh.
 
 The field oracle differentiates closed-form sympy expressions with the
 coordinate bracket {f, g} = f_q g_p - f_p g_q.
+
+The jet oracle is the earlier Jet2 arithmetic: each product formed on its
+own with a fresh array per term, sums as a fold of +, differences as the
+sum with a negated copy, and every Taylor coefficient divided by k!.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import factorial
 
 import numpy as np
 import sympy as sp
 
 from bracketlab import flows
+from bracketlab.jets import Jet2
 from bracketlab.liepoly import LiePoly, bracket
 from bracketlab.lyndon import (
     env_add_into,
@@ -215,6 +222,71 @@ def sym_grid_values(expr: sp.Expr, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     fn = sp.lambdify((P_SYM, Q_SYM), sp.expand(expr), "numpy")
     out = fn(P, Q)
     return np.broadcast_to(np.asarray(out, dtype=float), P.shape)
+
+
+# -- reference jet arithmetic ---------------------------------------------------------
+
+
+def _ref_triangle(order: int) -> list[tuple[int, int]]:
+    return [(i, t - i) for t in range(order + 1) for i in range(t + 1)]
+
+
+def _ref_product(a: dict, b: dict, m: int) -> dict:
+    out = {}
+    for i1, j1 in _ref_triangle(m):
+        x = a.get((i1, j1))
+        if x is None:
+            continue
+        for (i2, j2), y in b.items():
+            if i1 + i2 + j1 + j2 <= m:
+                ij = (i1 + i2, j1 + j2)
+                out[ij] = out[ij] + x * y if ij in out else x * y
+    return out
+
+
+def ref_jet_mul(a: Jet2, b: Jet2) -> Jet2:
+    m = min(a.order, b.order)
+    return Jet2(m, _ref_product(a.coeffs, b.coeffs, m))
+
+
+def ref_jet_add(a: Jet2, b: Jet2) -> Jet2:
+    m = min(a.order, b.order)
+    out = {ij: c for ij, c in a.coeffs.items() if sum(ij) <= m}
+    for ij, c in b.coeffs.items():
+        if sum(ij) <= m:
+            out[ij] = out[ij] + c if ij in out else c
+    return Jet2(m, out)
+
+
+def ref_jet_sub(a: Jet2, b: Jet2) -> Jet2:
+    return ref_jet_add(a, Jet2(b.order, {ij: -c for ij, c in b.coeffs.items()}))
+
+
+def ref_sum_of_products(pairs: list) -> Jet2:
+    return reduce(ref_jet_add, [ref_jet_mul(a, b) for a, b in pairs])
+
+
+def ref_from_univariate(derivs: list, order: int, axis: str) -> Jet2:
+    return Jet2(order, {
+        ((k, 0) if axis == "p" else (0, k)): np.asarray(derivs[k], dtype=float) / factorial(k)
+        for k in range(min(order + 1, len(derivs)))
+    })
+
+
+def ref_jet_sin(u: Jet2) -> Jet2:
+    m = u.order
+    s, c = np.sin(u.value), np.cos(u.value)
+    derivs = [[s, c, -s, -c][k % 4] for k in range(m + 1)]
+    z = {ij: c for ij, c in u.coeffs.items() if ij != (0, 0)}
+    out = {(0, 0): derivs[0]}
+    zk = z
+    for k in range(1, m + 1):
+        if k > 1:
+            zk = _ref_product(zk, z, m)
+        f = derivs[k] / factorial(k)
+        for ij, c in zk.items():
+            out[ij] = out[ij] + c * f if ij in out else c * f
+    return Jet2(m, out)
 
 
 # -- moved from the library: only tests call them ----------------------------------

@@ -233,6 +233,38 @@ def test_unwritable_csv_leaves_no_json(tmp_path):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("args, named", [
+    (["integral-identity", "--squares", "--fields", "nonsense"], "--fields"),
+    (["integral-identity", "--squares", {"fields": "sin-p,sin-q,zero"}], "--fields"),
+    (["integral-identity", {"squares": True, "fields": "zero,zero,zero"}], "--fields"),
+    (["symmetry", "--element", "A", "--alpha", "7"], "--alpha"),
+    (["symmetry", "--alpha", "7"], "--alpha"),
+    (["symmetry", "--element", "B", {"beta": 1.5}], "--beta"),
+    (["symmetry", "--element", "C", "--beta", "2"], "--beta"),
+    (["lh-check", "--seed", "5"], "--seed"),
+    (["lh-check", {"seed": 5, "trials": 0}], "--seed"),
+])
+def test_an_option_the_run_would_not_read_exits_2(tmp_path, capsys, args, named):
+    if isinstance(args[-1], dict):  # the contents of a config file
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(args[-1]))
+        args = args[:-1] + ["--config", str(cfg_file)]
+    assert exit_status(args + ["--n", "32", "--out-dir", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / f"{args[0]}.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["integral-identity", "--squares", "--fields", "sin-p,sin-q,cos-pq"],
+    ["symmetry", "--element", "A", "--alpha", "2", "--beta", "3"],
+    ["symmetry", "--element", "scale", "--alpha", "7"],
+    ["lh-check", "--seed", "0"],
+    ["lh-check", "--seed", "5", "--trials", "1"],
+])
+def test_an_option_at_its_default_or_read_is_accepted(tmp_path, args):
+    assert run_cli(args + ["--n", "32"], tmp_path) == 0
+
+
 def test_config_values_are_converted_like_flags(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"n": "64", "alpha": 2, "element": "scale", "out_dir": None}))

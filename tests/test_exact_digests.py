@@ -1,14 +1,24 @@
 """The exact outputs of the closed-form builders, pinned by digest.
 
-Everything hashed is an exact rational, or a float of one, so the digests
-do not depend on the platform.  The smoothstep profiles and the Lie-series
-pullback are unique, so any correct rewrite of either keeps them.
+Everything hashed by the symbolic tests is an exact rational, or a float
+of one, so those digests do not depend on the platform.  The smoothstep
+profiles and the Lie-series pullback are unique, so any correct rewrite
+of either keeps them.
+
+The numeric tests pin floating-point results of the jet, field and
+bracket arithmetic bit for bit, the sign of every zero included.  They
+depend on numpy's sin, cos and log, so another platform may need them
+taken again; a change to the arithmetic that keeps every value keeps them.
 """
 
 import hashlib
 from fractions import Fraction as Fr
 
-from bracketlab import expansions, flows, witness
+import numpy as np
+
+from bracketlab import expansions, flows, functionals, ratescan, witness
+from bracketlab.domain import Domain2
+from bracketlab.fields import sin_p, sin_q, trig_polynomial
 from bracketlab.liepoly import LiePoly
 from bracketlab.reporting import canonical_json
 
@@ -89,4 +99,43 @@ def test_mixed_time_flow_series_are_pinned():
     assert {name: _digest(s.to_json()) for name, s in series.items()} == {
         "w": "a721090e57e964d0f34b7e4ed34f4e56a7d694941ad80b31197ee9e27d43ed1c",
         "inverse": "4a1764ab65e3c4773cc1fae11626ffa13d43c2afbb747bc035c1a64aa1fa7b7e",
+    }
+
+
+def _trig_pairs(dom):
+    """Three pairs drawn as lh-check draws them; the third has a zero row
+    and a zero coefficient, which the builder skips."""
+    rng = np.random.default_rng(0)
+    decay = np.array([1.0, 0.5, 0.25])
+    pairs = []
+    for k in range(3):
+        pair = []
+        for _ in range(2):
+            c = rng.normal(size=(3, 3)) * decay[None, :] * decay[:, None]
+            if k == 2:
+                c[1] = 0.0
+                c[0, 2] = 0.0
+            c /= float(np.sum(np.abs(c)))
+            phases = rng.uniform(0, 2 * np.pi, 3), rng.uniform(0, 2 * np.pi, 3)
+            pair.append(trig_polynomial(dom, c, *phases))
+        pairs.append(pair)
+    return pairs
+
+
+def test_numeric_results_are_pinned():
+    d64 = Domain2.torus(64)
+    F, G = sin_p(d64), sin_q(d64)
+    results = {
+        "lh_check": [functionals.lh_check(F, G) for F, G in _trig_pairs(Domain2.torus(256))],
+        "oscillation_ratios": witness.verify_oscillation_ratios(
+            witness.build_witness(), N_list=(137, 4242), n=256),
+        "phi_bar_upper": {
+            which: ratescan.phi_bar_upper(F, G, 1e-2, which=which, budget=30)
+            for which in ("maxFG", "double")
+        },
+    }
+    assert {name: _digest(r) for name, r in results.items()} == {
+        "lh_check": "1b13fdae975642607da420a21603f3e98cf1403efa0c8b7f98fac66c26294e0e",
+        "oscillation_ratios": "e9787ab767b689c26001f0e989963b9c5505b86000a586db31b9cc3360d38754",
+        "phi_bar_upper": "a65ef643dbe0ea957db2445cc3d761201e8ca1712ed01b76e5edfebdf7db21ff",
     }

@@ -12,6 +12,7 @@ from bracketlab.jets import (
     jet_log,
     jet_sin,
     poisson_jet,
+    sum_of_products,
 )
 
 
@@ -174,3 +175,26 @@ def test_jets_store_only_the_coefficients_they_have():
     assert np.array_equal(j.derivative(1, 2), np.zeros(P.shape))
     with pytest.raises(ValueError):
         j.derivative(3, 2)
+
+
+def test_no_operand_is_written():
+    # products add into arrays they allocate; every array a caller passes
+    # in, and every coefficient from_univariate shares with its caller for
+    # k < 2 (the coordinate and the ones of a variable), keeps its values
+    P, Q = P_COL.copy(), Q_ROW.copy()
+    jp, jq = Jet2.variable_p(P, 4), Jet2.variable_q(Q, 4)
+    assert jp.coeffs[(0, 0)] is P and jq.coeffs[(0, 0)] is Q
+    derivs = [np.sin(P), np.cos(P), -np.sin(P)]
+    u = Jet2.from_univariate(derivs, 4, "p")
+    assert u.coeffs[(0, 0)] is derivs[0] and u.coeffs[(1, 0)] is derivs[1]
+    operands = [jp, jq, u, *_sparse_jets().values()]
+    before = [{ij: c.copy() for ij, c in j.coeffs.items()} for j in operands]
+    for a in operands:
+        jet_sin(a)
+        for b in operands:
+            a * b
+            a - b
+            sum_of_products([(a, b), (b, a), (a, a)])
+    for j, old in zip(operands, before):
+        for ij, c in j.coeffs.items():
+            assert np.array_equal(c.view(np.int64), old[ij].view(np.int64)), ij

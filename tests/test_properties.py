@@ -7,10 +7,20 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bracketlab.jets import poisson_jet, Jet2
+from bracketlab.jets import Jet2, jet_sin, poisson_jet, sum_of_products
 from bracketlab.liepoly import LiePoly, bracket
 from bracketlab.lyndon import is_lyndon, lyndon_words
-from oracles import ref_add, ref_bracket, ref_json, ref_scale
+from oracles import (
+    ref_add,
+    ref_bracket,
+    ref_from_univariate,
+    ref_jet_mul,
+    ref_jet_sin,
+    ref_jet_sub,
+    ref_json,
+    ref_scale,
+    ref_sum_of_products,
+)
 
 WORDS = lyndon_words(4)
 
@@ -134,3 +144,49 @@ def test_poisson_jet_bilinear_antisymmetric(s1, s2, x, y):
     ab = poisson_jet(F, G)
     ba = poisson_jet(G, F)
     assert np.allclose(ab.value, -ba.value, atol=1e-14)
+
+
+# column, row and full coefficients of one 3x3 grid
+SHAPES = ((3, 1), (1, 3), (3, 3))
+
+
+@st.composite
+def sparse_jets(draw):
+    """A jet of order 0-4 holding (0, 0) and a drawn subset of the other
+    multi-indices, in a shuffled key order, each coefficient of a drawn
+    shape; entries span six decades and about 30% are exact +0.0 or -0.0."""
+    order = draw(st.integers(0, 4))
+    keys = [(i, t - i) for t in range(order + 1) for i in range(t + 1)]
+    keys = [ij for ij in keys if ij == (0, 0) or draw(st.booleans())]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = {}
+    for k in rng.permutation(len(keys)):
+        shape = SHAPES[draw(st.integers(0, 2))]
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 3, size=shape)
+        u = rng.random(shape)
+        x[u < 0.15] = 0.0
+        x[u > 0.85] = -0.0
+        coeffs[keys[k]] = x
+    return Jet2(order, coeffs)
+
+
+def _bits(j: Jet2):
+    """The order and every coefficient's shape and bits: equal only if the
+    values are, including the sign of every zero."""
+    return j.order, {ij: (c.shape, c.view(np.int64).tolist()) for ij, c in j.coeffs.items()}
+
+
+@given(sparse_jets(), sparse_jets(), st.floats(-2, 2),
+       st.lists(st.tuples(sparse_jets(), sparse_jets()), min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_jet_kernel_matches_the_fold_bitwise(a, b, s, pairs):
+    assert _bits(a * b) == _bits(ref_jet_mul(a, b))
+    assert _bits(a - b) == _bits(ref_jet_sub(a, b))
+    want = Jet2(a.order, {**a.coeffs, (0, 0): a.value + (-np.asarray(s))})
+    assert _bits(a - s) == _bits(want)
+    assert _bits(jet_sin(a)) == _bits(ref_jet_sin(a))
+    assert _bits(sum_of_products(pairs)) == _bits(ref_sum_of_products(pairs))
+    derivs = list(a.coeffs.values())
+    for axis in "pq":
+        got = Jet2.from_univariate(derivs, 4, axis)
+        assert _bits(got) == _bits(ref_from_univariate(derivs, 4, axis))
