@@ -220,5 +220,30 @@ def jet_exp(u: Jet2) -> Jet2:
 
 
 def poisson_jet(F: Jet2, G: Jet2) -> Jet2:
-    """{F, G} = F_q G_p - F_p G_q, one jet order lower than its inputs."""
-    return F.dq() * G.dp() - F.dp() * G.dq()
+    """{F, G} = F_q G_p - F_p G_q, one jet order lower than its inputs.
+
+    A term with a structurally zero factor (F_q when F has no key with
+    j > 0, and so on) is skipped, and a lone -F_p G_q negates the smaller
+    factor, so no n^2 array is spent on 0 * x or on a negation; only the
+    sign of an exact zero can differ from the full formula."""
+    f_p, f_q = _depends_on(F)
+    g_p, g_q = _depends_on(G)
+    plus, minus = f_q and g_p, f_p and g_q
+    if plus and minus:
+        return F.dq() * G.dp() - F.dp() * G.dq()
+    if plus:
+        return F.dq() * G.dp()
+    if minus:
+        a, b = F.dp(), G.dq()
+        return (-a) * b if _size(a) <= _size(b) else a * -b
+    shape = np.broadcast_shapes(F.value.shape, G.value.shape)
+    return Jet2(min(F.order, G.order) - 1, {(0, 0): np.zeros(shape)})
+
+
+def _depends_on(J: Jet2) -> tuple[bool, bool]:
+    """Whether J has a key with i > 0, and one with j > 0."""
+    return any(i for i, _ in J.coeffs), any(j for _, j in J.coeffs)
+
+
+def _size(J: Jet2) -> int:
+    return sum(np.size(c) for c in J.coeffs.values())

@@ -21,7 +21,8 @@ around [c1, c4] and everything outside the window is certified by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import operator
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .brackets import BracketField
 from .domain import Domain2
 from .errors import CheckFailed, ConstructionError, PreconditionError
-from .fields import AnalyticField, JetField, univariate_jet, values_of
+from .fields import AnalyticField, DerivedField, JetField, univariate_jet, values_of
 from .jets import Jet2, jet_cos, jet_log, jet_sin
 from .piecewise import PiecewisePoly, build_profile, table_profile
 from .reporting import check
@@ -517,17 +518,83 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
 
 # -- R bound and the main verification --------------------------------------------
 
+CHUNK_ROWS = 128
 
-def _grid_values_chunked(fields: list[JetField], domain: Domain2) -> list[np.ndarray]:
-    # rows of p against all of q: a bracket tree's n^2 temporaries stay chunk x n
-    chunk = 128
-    p, q = domain.coords()
-    out = [np.empty((domain.n, domain.n)) for _ in fields]
-    for i0 in range(0, domain.n, chunk):
-        for arr, vals in zip(out, values_of(fields, (p[i0 : i0 + chunk], q))):
-            arr[i0 : i0 + chunk] = vals
-        del vals  # else one chunk's values stay alive while the next is built
+
+class _AxisTable:
+    """A profile's derivatives, kept for the last array they were asked on.
+
+    A window pass hands every builder the same q row in every chunk, and
+    the same p column within a chunk, so each profile is evaluated once
+    per axis array, at the highest order asked so far; another array or a
+    higher order is evaluated afresh.  Lower orders are the same arrays:
+    eval_derivs computes each derivative on its own."""
+
+    def __init__(self, profile):
+        self.profile, self.x, self.derivs = profile, None, []
+
+    def eval_derivs(self, x, upto: int) -> list[np.ndarray]:
+        if x is not self.x or upto >= len(self.derivs):
+            self.x, self.derivs = x, self.profile.eval_derivs(x, upto)
+        return self.derivs[: upto + 1]
+
+
+def _tabled(fields: WitnessFields) -> WitnessFields:
+    """The construction with every profile read through an _AxisTable, for
+    the fields of one window pass."""
+    return replace(fields, **{k: _AxisTable(getattr(fields, k))
+                              for k in ("u", "u_prime", "v", "w", "a")})
+
+
+def _window_extrema(roots: list[JetField], dom: Domain2) -> list[tuple]:
+    """(max, argmax, min, argmin) of each root's values on the window grid,
+    as np.max, np.argmax, np.min and np.argmin of the whole n x n array
+    give them (first row-major index, NaN included).  The roots are
+    evaluated together on one 128-row chunk at a time, so a bracket tree's
+    n^2 temporaries stay chunk x n and no whole-window array is formed."""
+    p, q = dom.coords()
+    n = dom.n
+    chunks = []  # per chunk, each root's extrema with indices into the window
+    for i0 in range(0, n, CHUNK_ROWS):
+        row = []
+        for v in values_of(roots, (p[i0 : i0 + CHUNK_ROWS], q)):
+            hi, lo = int(v.argmax()), int(v.argmin())
+            row.append((v.flat[hi], i0 * n + hi, v.flat[lo], i0 * n + lo))
+        chunks.append(row)
+    out = []
+    for per_chunk in zip(*chunks):  # one root, chunk by chunk
+        hi = per_chunk[int(np.argmax([s[0] for s in per_chunk]))]  # the first chunk to hold it
+        lo = per_chunk[int(np.argmin([s[2] for s in per_chunk]))]
+        out.append(hi[:2] + lo[2:])
     return out
+
+
+def _abs_max(hi, i_hi, lo, i_lo) -> tuple[float, int]:
+    """max |x| and its first row-major index, from x's _window_extrema."""
+    if abs(lo) > abs(hi):
+        return float(abs(lo)), i_lo
+    if abs(hi) > abs(lo):
+        return float(abs(hi)), i_hi
+    return float(abs(hi)), min(i_hi, i_lo)
+
+
+def _tail_bound(fields: WitnessFields, dom: Domain2) -> float:
+    """The pointwise bound |w'|(1+|a|)^2 + |a' w|(|a|+1) on |R| outside the
+    window, for every p and N, sampled on the fine 1-D axes of w' and of
+    the a tapers."""
+    q = _fine_axis(fields.w_prime)
+    extra = _fine_axis(fields.a.left)
+    q = np.unique(np.concatenate([q, extra, _fine_axis(fields.a.right)]))
+    q0, q1 = dom.bounds[2], dom.bounds[3]
+    qo = q[(q < q0) | (q > q1)]
+    if not qo.size:
+        return 0.0
+    wd = fields.w.eval_derivs(qo, 1)
+    ad = fields.a.eval_derivs(qo, 1)
+    tail = np.abs(wd[1]) * (1.0 + np.abs(ad[0])) ** 2 + np.abs(ad[1] * wd[0]) * (
+        np.abs(ad[0]) + 1.0
+    )
+    return float(tail.max())
 
 
 def r_field(fields: WitnessFields, N: int, n: int) -> dict:
@@ -538,35 +605,15 @@ def r_field(fields: WitnessFields, N: int, n: int) -> dict:
     covers every (p, q) regardless of the oscillatory factor.
     """
     dom = fields.window_domain(n)
-    (vals,) = _grid_values_chunked([fields.field_R(dom, N)], dom)
-    return _r_report(fields, N, dom, vals)
-
-
-def _r_report(fields: WitnessFields, N: int, dom: Domain2, vals: np.ndarray) -> dict:
-    amax = float(np.max(np.abs(vals)))
-    i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
+    (ext,) = _window_extrema([_tabled(fields).field_R(dom, N)], dom)
+    amax, k = _abs_max(*ext)
     p_axis, q_axis = dom.axes()
-    worst_pt = (float(p_axis[i]), float(q_axis[j]))
-
-    q = _fine_axis(fields.w_prime)
-    extra = _fine_axis(fields.a.left)
-    q = np.unique(np.concatenate([q, extra, _fine_axis(fields.a.right)]))
-    q0, q1 = dom.bounds[2], dom.bounds[3]
-    outside = (q < q0) | (q > q1)
-    qo = q[outside]
-    wd = fields.w.eval_derivs(qo, 1)
-    ad = fields.a.eval_derivs(qo, 1)
-    tail = np.abs(wd[1]) * (1.0 + np.abs(ad[0])) ** 2 + np.abs(ad[1] * wd[0]) * (
-        np.abs(ad[0]) + 1.0
-    )
-    tail_bound = float(tail.max()) if qo.size else 0.0
-
     return {
         "N": N,
-        "worst_point": worst_pt,
+        "worst_point": (float(p_axis[k // n]), float(q_axis[k % n])),
         "checks": {
             "max_abs_R_window": check(amax, R_BOUND, "<=", "sampled"),
-            "tail_bound_outside_window": check(tail_bound, R_BOUND, "<=", "sampled"),
+            "tail_bound_outside_window": check(_tail_bound(fields, dom), R_BOUND, "<=", "sampled"),
         },
     }
 
@@ -575,35 +622,37 @@ def verify_oscillation_ratios(
     fields: WitnessFields, N_list: tuple[int, ...], n: int
 ) -> dict:
     """Ratios max/min {{F_N,G},F_N} over {{F,G},F} and the O(1/N) residual
-    against u'^2 R, per oscillation frequency N."""
+    against u'^2 R, per oscillation frequency N.  The fields of every N are
+    built before anything is evaluated, and evaluated in one pass over the
+    window."""
+    if not N_list:
+        raise PreconditionError("N_list is empty: give at least one frequency N")
     dom = fields.window_domain(n)
-    F = fields.field_F(dom)
-    G = fields.field_G(dom)
-    (D0,) = _grid_values_chunked([BracketField(BracketField(F, G), F)], dom)
-    d0_max, d0_min = float(D0.max()), float(D0.min())
+    tab = _tabled(fields)
+    F, G, uR = tab.field_F(dom), tab.field_G(dom), tab.field_uprime_sq(dom)
+    roots = [BracketField(BracketField(F, G), F)]
+    for N in N_list:  # field_FN refuses N < 1
+        FN, R = tab.field_FN(dom, N), tab.field_R(dom, N)
+        DN = BracketField(BracketField(FN, G), FN)
+        roots += [DN, DerivedField(operator.sub, DN, uR * R), R]
+    (d0_max, _, d0_min, _), *per_N = _window_extrema(roots, dom)
     if d0_max <= 0 or d0_min >= 0:
         raise CheckFailed("unperturbed double bracket has degenerate extrema")
+    d0_max, d0_min = float(d0_max), float(d0_min)
+    tail = _tail_bound(fields, dom)
 
     rows = []
-    for N in N_list:
-        FN = fields.field_FN(dom, N)
-        (DN,) = _grid_values_chunked([BracketField(BracketField(FN, G), FN)], dom)
-        # one pass for u'^2 R and R; the R window is released before the residual
-        R = fields.field_R(dom, N)
-        model, rvals = _grid_values_chunked([fields.field_uprime_sq(dom) * R, R], dom)
-        rrep = _r_report(fields, N, dom, rvals)
-        del rvals
-        resid = float(np.max(np.abs(DN - model)))
-        ratio_max = float(DN.max()) / d0_max
-        ratio_min = float(DN.min()) / d0_min
+    for k, N in enumerate(N_list):
+        dn, res, r = per_N[3 * k : 3 * k + 3]
+        resid = _abs_max(*res)[0]
         rows.append(
             {
                 "N": N,
-                "ratio_max": ratio_max,
-                "ratio_min": ratio_min,
+                "ratio_max": float(dn[0]) / d0_max,
+                "ratio_min": float(dn[2]) / d0_min,
                 "residual": resid,
                 "residual_times_N": resid * N,
-                "maxR": max(c["value"] for c in rrep["checks"].values()),
+                "maxR": max(_abs_max(*r)[0], tail),
             }
         )
     ratios = [max(row["ratio_max"], row["ratio_min"]) for row in rows]

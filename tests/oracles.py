@@ -17,6 +17,12 @@ coordinate bracket {f, g} = f_q g_p - f_p g_q.
 The jet oracle is the earlier Jet2 arithmetic: each product formed on its
 own with a fresh array per term, sums as a fold of +, differences as the
 sum with a negated copy, and every Taylor coefficient divided by k!.
+Its Poisson bracket forms both terms of F_q G_p - F_p G_q, also where a
+factor is a structural zero.
+
+The witness oracle is the three-pass verification: whole-window arrays of
+the unperturbed double bracket, then per N of the perturbed one and of
+u'^2 R and R, each reduced with numpy over the whole window.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ from math import factorial
 import numpy as np
 import sympy as sp
 
-from bracketlab import flows
+from bracketlab import flows, witness
+from bracketlab.brackets import BracketField
+from bracketlab.fields import values_of
 from bracketlab.jets import Jet2
 from bracketlab.liepoly import LiePoly, bracket
 from bracketlab.lyndon import (
@@ -38,6 +46,7 @@ from bracketlab.lyndon import (
     expand_standard_bracketing,
     lie_envelope_to_lyndon,
 )
+from bracketlab.reporting import check
 
 # -- envelope tau-series -------------------------------------------------------
 
@@ -287,6 +296,96 @@ def ref_jet_sin(u: Jet2) -> Jet2:
         for ij, c in zk.items():
             out[ij] = out[ij] + c * f if ij in out else c * f
     return Jet2(m, out)
+
+
+def ref_poisson_jet(F: Jet2, G: Jet2) -> Jet2:
+    """{F, G} = F_q G_p - F_p G_q with both terms formed, structurally zero
+    factors included."""
+    return ref_jet_sub(ref_jet_mul(F.dq(), G.dp()), ref_jet_mul(F.dp(), G.dq()))
+
+
+# -- whole-window witness verification --------------------------------------------
+
+
+def _ref_window_values(fields: list, dom) -> list[np.ndarray]:
+    chunk = 128
+    p, q = dom.coords()
+    out = [np.empty((dom.n, dom.n)) for _ in fields]
+    for i0 in range(0, dom.n, chunk):
+        for arr, vals in zip(out, values_of(fields, (p[i0 : i0 + chunk], q))):
+            arr[i0 : i0 + chunk] = vals
+    return out
+
+
+def _ref_r_report(wf, N: int, dom, vals: np.ndarray) -> dict:
+    amax = float(np.max(np.abs(vals)))
+    i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
+    p_axis, q_axis = dom.axes()
+    q = witness._fine_axis(wf.w_prime)
+    extra = witness._fine_axis(wf.a.left)
+    q = np.unique(np.concatenate([q, extra, witness._fine_axis(wf.a.right)]))
+    qo = q[(q < dom.bounds[2]) | (q > dom.bounds[3])]
+    wd = wf.w.eval_derivs(qo, 1)
+    ad = wf.a.eval_derivs(qo, 1)
+    tail = np.abs(wd[1]) * (1.0 + np.abs(ad[0])) ** 2 + np.abs(ad[1] * wd[0]) * (
+        np.abs(ad[0]) + 1.0
+    )
+    tail_bound = float(tail.max()) if qo.size else 0.0
+    return {
+        "N": N,
+        "worst_point": (float(p_axis[i]), float(q_axis[j])),
+        "checks": {
+            "max_abs_R_window": check(amax, witness.R_BOUND, "<=", "sampled"),
+            "tail_bound_outside_window": check(tail_bound, witness.R_BOUND, "<=", "sampled"),
+        },
+    }
+
+
+def ref_r_field(wf, N: int, n: int) -> dict:
+    dom = wf.window_domain(n)
+    (vals,) = _ref_window_values([wf.field_R(dom, N)], dom)
+    return _ref_r_report(wf, N, dom, vals)
+
+
+def ref_verify_oscillation_ratios(wf, N_list, n: int) -> dict:
+    """The three-pass form: whole-window D0, then per N the whole-window DN
+    and u'^2 R with R, and a fresh R report."""
+    dom = wf.window_domain(n)
+    F, G = wf.field_F(dom), wf.field_G(dom)
+    (D0,) = _ref_window_values([BracketField(BracketField(F, G), F)], dom)
+    d0_max, d0_min = float(D0.max()), float(D0.min())
+    rows = []
+    for N in N_list:
+        FN = wf.field_FN(dom, N)
+        (DN,) = _ref_window_values([BracketField(BracketField(FN, G), FN)], dom)
+        R = wf.field_R(dom, N)
+        model, rvals = _ref_window_values([wf.field_uprime_sq(dom) * R, R], dom)
+        rrep = _ref_r_report(wf, N, dom, rvals)
+        resid = float(np.max(np.abs(DN - model)))
+        rows.append({
+            "N": N,
+            "ratio_max": float(DN.max()) / d0_max,
+            "ratio_min": float(DN.min()) / d0_min,
+            "residual": resid,
+            "residual_times_N": resid * N,
+            "maxR": max(c["value"] for c in rrep["checks"].values()),
+        })
+    ratios = [max(row["ratio_max"], row["ratio_min"]) for row in rows]
+    rn = [row["residual_times_N"] for row in rows]
+    checks = {
+        "max_abs_R": check(max(row["maxR"] for row in rows), witness.R_BOUND, "<=", "sampled"),
+        "ratio_within_envelope": check(
+            max(r - 2.0 * row["residual"] / d0_max for r, row in zip(ratios, rows)),
+            witness.R_BOUND, "<=", "sampled",
+        ),
+        "residual_times_N_spread": check(
+            max(rn) / min(rn) if min(rn) > 0 else np.inf, 2.0, "<=", "sampled"
+        ),
+    }
+    large = [r for r, row in zip(ratios, rows) if row["N"] >= 1000]
+    if large:
+        checks["ratio_at_N_ge_1000"] = check(max(large), 0.995, "<=", "sampled")
+    return {"denominator_max": d0_max, "denominator_min": d0_min, "rows": rows, "checks": checks}
 
 
 # -- moved from the library: only tests call them ----------------------------------

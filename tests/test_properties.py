@@ -17,6 +17,7 @@ from oracles import (
     ref_jet_mul,
     ref_jet_sin,
     ref_jet_sub,
+    ref_poisson_jet,
     ref_json,
     ref_scale,
     ref_sum_of_products,
@@ -190,3 +191,37 @@ def test_jet_kernel_matches_the_fold_bitwise(a, b, s, pairs):
     for axis in "pq":
         got = Jet2.from_univariate(derivs, 4, axis)
         assert _bits(got) == _bits(ref_from_univariate(derivs, 4, axis))
+
+
+@st.composite
+def one_or_two_variable_jets(draw):
+    """A jet of order 1-4 of p alone with (3, 1) coefficients, of q alone
+    with (1, 3) ones, or of both with (3, 3) ones, holding (0, 0) and a
+    drawn subset of its other multi-indices; about 20% of entries are 0."""
+    kind = draw(st.sampled_from(["p", "q", "pq"]))
+    order = draw(st.integers(1, 4))
+    keys = [(i, t - i) for t in range(order + 1) for i in range(t + 1)]
+    keys = [(i, j) for i, j in keys if (i == 0 or "p" in kind) and (j == 0 or "q" in kind)]
+    keys = [ij for ij in keys if ij == (0, 0) or draw(st.booleans())]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = SHAPES[["p", "q", "pq"].index(kind)]
+    coeffs = {}
+    for ij in keys:
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        coeffs[ij] = x
+    return Jet2(order, coeffs)
+
+
+@given(one_or_two_variable_jets(), one_or_two_variable_jets())
+@settings(max_examples=200, deadline=None)
+def test_poisson_jet_skips_only_zero_terms(F, G):
+    # a skipped term may flip the sign of an exact zero, so == and not bits
+    got, want = poisson_jet(F, G), ref_poisson_jet(F, G)
+    assert got.order == want.order
+    for ij in set(got.coeffs) | set(want.coeffs):
+        a, b = got.coeffs.get(ij), want.coeffs.get(ij)
+        if a is None or b is None:
+            assert not np.any(b if a is None else a), ij
+        else:
+            assert a.shape == b.shape and np.array_equal(a, b), ij

@@ -71,16 +71,18 @@ def test_lh_check_on_trig_pair():
 
 
 def test_witness_window(wf):
-    # 200 rows: one full 128-row chunk and one partial chunk
+    # 200 rows: one full 128-row chunk and one partial chunk; the chunked
+    # fields read their profiles through the window pass's tables
     dom = wf.window_domain(200)
     N = 1000
-    FN, G = wf.field_FN(dom, N), wf.field_G(dom)
+    tab = witness._tabled(wf)
+    FN, G = tab.field_FN(dom, N), tab.field_G(dom)
     D = BracketField(BracketField(FN, G), FN)
-    D_dense = BracketField(BracketField(Dense(FN), Dense(G)), Dense(FN))
-    assert np.array_equal(witness._grid_values_chunked([D], dom)[0], D_dense.values())
-    R = wf.field_R(dom, N)
-    R_dense = Dense(R).values()
-    assert np.array_equal(witness._grid_values_chunked([R], dom)[0], R_dense)
+    FN_dense = Dense(wf.field_FN(dom, N))
+    D_dense = BracketField(BracketField(FN_dense, Dense(wf.field_G(dom))), FN_dense).values()
+    R_dense = Dense(wf.field_R(dom, N)).values()
+    want = [(v.max(), v.argmax(), v.min(), v.argmin()) for v in (D_dense, R_dense)]
+    assert witness._window_extrema([D, tab.field_R(dom, N)], dom) == want
     P, Q = dom.grid()
     flat = int(np.argmax(np.abs(R_dense)))
     rep = witness.r_field(wf, N, n=200)

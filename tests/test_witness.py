@@ -1,9 +1,14 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bracketlab import witness
+from bracketlab.domain import Domain2
 from bracketlab.errors import ConstructionError, PreconditionError
+from bracketlab.fields import AnalyticField, values_of
+from bracketlab.jets import jet_sin
 from bracketlab.witness import (
     WitnessConfig,
     build_witness,
@@ -17,6 +22,7 @@ from bracketlab.witness import (
     r_max_abs,
     verify_oscillation_ratios,
 )
+from oracles import ref_r_field, ref_verify_oscillation_ratios
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +230,51 @@ def test_double_bracket_closed_form_oracle(fields):
 def test_ratio_envelope_flag(fields):
     out = verify_oscillation_ratios(fields, N_list=(100, 1000), n=512)
     assert out["checks"]["ratio_within_envelope"]["pass"]
+
+
+def test_one_pass_matches_the_three_pass_oracle(fields):
+    # 200 rows: one full 128-row chunk and one partial chunk; |R| peaks on
+    # rows where u = 0, which lie in both chunks
+    N_list = (100, 1000, 10000)
+    assert verify_oscillation_ratios(fields, N_list, 200) == ref_verify_oscillation_ratios(
+        fields, N_list, 200)
+    for N in N_list:
+        assert r_field(fields, N, 200) == ref_r_field(fields, N, 200)
+
+
+def test_window_extrema_are_the_whole_window_reductions():
+    dom = Domain2.rect(200, (0.0, 3.0, 0.0, 2.0))
+    roots = [
+        AnalyticField(dom, lambda jp, jq: jet_sin(jp) * jet_sin(jq.scale(2.0)) + 3.0),  # min > 0
+        AnalyticField(dom, lambda jp, jq: jet_sin(jp * jq).scale(-1.0) - 2.0),  # max < 0
+        AnalyticField(dom, lambda jp, jq: jet_sin(jq.scale(3.0))),  # every row ties
+        AnalyticField(dom, lambda jp, jq: jet_sin(jp.scale(2.0)).scale(-1.0)),  # every column ties
+        AnalyticField(dom, lambda jp, jq: jp - 1.5),  # max = -min, first at the min
+    ]
+    got = witness._window_extrema(roots, dom)
+    for v, ext in zip(values_of(roots), got):
+        assert ext == (v.max(), v.argmax(), v.min(), v.argmin())
+        assert witness._abs_max(*ext) == (np.max(np.abs(v)), np.argmax(np.abs(v)))
+
+
+def test_verify_refuses_bad_N_before_evaluating(fields, monkeypatch):
+    def unexpected(*args):
+        raise AssertionError("the window was evaluated")
+
+    monkeypatch.setattr(witness, "values_of", unexpected)
+    for N_list in ((), (100, 0)):
+        with pytest.raises(PreconditionError):
+            verify_oscillation_ratios(fields, N_list, 256)
+
+
+def test_verify_keeps_no_whole_window_array(fields):
+    # three N at n = 1024: the three-pass form peaked at 47.1 MiB of traced
+    # memory, the one-pass form at 20.2 MiB
+    verify_oscillation_ratios(fields, (100,), 128)  # memo caches and plans
+    tracemalloc.start()
+    try:
+        verify_oscillation_ratios(fields, (100, 1000, 10000), 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
