@@ -231,13 +231,10 @@ def poisson_jet(F: Jet2, G: Jet2) -> Jet2:
     plus, minus = f_q and g_p, f_p and g_q
     if plus and minus:
         return F.dq() * G.dp() - F.dp() * G.dq()
-    if plus:
-        return F.dq() * G.dp()
     if minus:
         a, b = F.dp(), G.dq()
         return (-a) * b if _size(a) <= _size(b) else a * -b
-    shape = np.broadcast_shapes(F.value.shape, G.value.shape)
-    return Jet2(min(F.order, G.order) - 1, {(0, 0): np.zeros(shape)})
+    return F.dq() * G.dp()
 
 
 def _depends_on(J: Jet2) -> tuple[bool, bool]:

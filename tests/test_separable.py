@@ -14,7 +14,7 @@ from bracketlab import witness
 from bracketlab.brackets import BracketField
 from bracketlab.domain import Domain2
 from bracketlab.errors import PreconditionError
-from bracketlab.fields import JetField, sin_p, sin_q, trig_polynomial
+from bracketlab.fields import JetField, sin_p, sin_q, trig_polynomial, values_of
 from bracketlab.functionals import lh_check
 from bracketlab.ratescan import (
     ModulatedFamily,
@@ -81,8 +81,14 @@ def test_witness_window(wf):
     FN_dense = Dense(wf.field_FN(dom, N))
     D_dense = BracketField(BracketField(FN_dense, Dense(wf.field_G(dom))), FN_dense).values()
     R_dense = Dense(wf.field_R(dom, N)).values()
+    chunked = [D, tab.field_R(dom, N)]
+    p, q = dom.coords()
+    for i0 in range(0, dom.n, 128):
+        D_rows, R_rows = values_of(chunked, (p[i0 : i0 + 128], q))
+        assert np.array_equal(D_rows, D_dense[i0 : i0 + 128])
+        assert np.array_equal(R_rows, R_dense[i0 : i0 + 128])
     want = [(v.max(), v.argmax(), v.min(), v.argmin()) for v in (D_dense, R_dense)]
-    assert witness._window_extrema([D, tab.field_R(dom, N)], dom) == want
+    assert witness._window_extrema(chunked, dom) == want
     P, Q = dom.grid()
     flat = int(np.argmax(np.abs(R_dense)))
     rep = witness.r_field(wf, N, n=200)

@@ -257,6 +257,20 @@ def test_window_extrema_are_the_whole_window_reductions():
         assert witness._abs_max(*ext) == (np.max(np.abs(v)), np.argmax(np.abs(v)))
 
 
+def test_axis_table_serves_the_values_of_a_fresh_evaluation(fields):
+    # a lower order is served as a prefix of a higher-order evaluation; a
+    # higher order, or another array, is evaluated afresh
+    q = fields.window_domain(64).coords()[1]
+    tab = witness._tabled(fields)
+    for k in ("u", "u_prime", "v", "w", "a"):
+        profile, table = getattr(fields, k), getattr(tab, k)
+        for x, upto in ((q, 1), (q, 4), (q, 0), (q[..., ::-1], 2), (q, 2), (q, 3)):
+            got, want = table.eval_derivs(x, upto), profile.eval_derivs(x, upto)
+            assert len(got) == upto + 1, k
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w), k
+
+
 def test_verify_refuses_bad_N_before_evaluating(fields, monkeypatch):
     def unexpected(*args):
         raise AssertionError("the window was evaluated")
