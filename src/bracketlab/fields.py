@@ -1,11 +1,13 @@
 """Jet-valued fields on 2-D domains.
 
 A JetField exposes the full jet of order <= 4 (value and all partials) at
-requested points.  Analytic fields build their jets by closed-form jet
-arithmetic and can be evaluated anywhere; sampled fields live on their
-grid and differentiate by 4th-order central differences.  Every other
-field is a DerivedField: a node computing its jet from its parents' jets,
-consuming ``lowers`` jet orders of each (one for a bracket, none for sums,
+requested points.  There are three kinds of leaf.  Analytic fields build
+their jets by closed-form jet arithmetic and can be evaluated anywhere.
+Profile fields are functions of one variable, f(p) or f(q), evaluated on
+their 1-D axis only.  Sampled fields live on their grid and differentiate
+by 4th-order central differences.  Every other field is a DerivedField: a
+node computing its jet from its parents' jets, consuming ``lowers`` jet
+orders of each (one for a bracket or a partial derivative, none for sums,
 products and maps).
 
 Field expressions are DAGs with shared nodes ({F,G} appears in every
@@ -42,7 +44,7 @@ class JetField:
 
     domain: Domain2
     provenance: str
-    max_order: int
+    max_order = MAX_JET_ORDER
     parents: tuple = ()
     lowers = 0  # jet orders consumed from each parent
 
@@ -166,11 +168,11 @@ class AnalyticField(JetField):
     must combine them with jet arithmetic only, so all partials are exact.
     """
 
-    def __init__(self, domain: Domain2, builder, max_order: int = MAX_JET_ORDER):
+    provenance = "analytic"
+
+    def __init__(self, domain: Domain2, builder):
         self.domain = domain
         self.builder = builder
-        self.max_order = min(max_order, MAX_JET_ORDER)
-        self.provenance = "analytic"
 
     def _jet(self, order: int, parent_jets: list, pts) -> Jet2:
         P, Q = self.domain.coords() if pts is None else pts
@@ -179,10 +181,29 @@ class AnalyticField(JetField):
         return self.builder(jp, jq)
 
 
-def univariate_jet(fn, jc: Jet2, axis: str) -> Jet2:
-    """Jet of f(p) (axis "p", jc the p coordinate jet) or of f(q), from
-    fn(x, m) giving the raw derivatives [f, f', ..., f^(m)] at x."""
-    return Jet2.from_univariate(fn(jc.value, jc.order), jc.order, axis)
+class ProfileField(JetField):
+    """f(p) (axis "p") or f(q) (axis "q"), from fn(x, m) giving the raw
+    derivatives [f, f', ..., f^(m)] at the axis array x.
+
+    The leaf keeps the jet of the last axis array it was evaluated on, at
+    the highest order asked of it, and serves that array again at that
+    order or lower without calling fn: a window pass gives every chunk the
+    same q row.  The array is matched by identity, so a caller must not
+    write into a points array between evaluations."""
+
+    provenance = "analytic"
+
+    def __init__(self, domain: Domain2, fn, axis: str):
+        self.domain, self.fn, self.axis = domain, fn, axis
+        self._x, self._jet_of_x = None, None
+
+    def _jet(self, order: int, parent_jets: list, pts) -> Jet2:
+        P, Q = self.domain.coords() if pts is None else pts
+        x = P if self.axis == "p" else Q
+        if x is not self._x or order > self._jet_of_x.order:
+            derivs = self.fn(np.asarray(x, dtype=float), order)
+            self._x, self._jet_of_x = x, Jet2.from_univariate(derivs, order, self.axis)
+        return _at_order(self._jet_of_x, order)
 
 
 class SampledField(JetField):
@@ -198,7 +219,6 @@ class SampledField(JetField):
         self.domain = domain
         self._values = values
         self.provenance = "sampled"
-        self.max_order = MAX_JET_ORDER
         self._deriv_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def _diff(self, arr: np.ndarray, axis: int) -> np.ndarray:
@@ -250,14 +270,6 @@ def sin_q(domain: Domain2) -> AnalyticField:
 
 def zero_field(domain: Domain2) -> AnalyticField:
     return AnalyticField(domain, lambda jp, jq: jp.scale(0.0))
-
-
-def coordinate_p(domain: Domain2) -> AnalyticField:
-    return AnalyticField(domain, lambda jp, jq: jp)
-
-
-def coordinate_q(domain: Domain2) -> AnalyticField:
-    return AnalyticField(domain, lambda jp, jq: jq)
 
 
 def trig_polynomial(domain: Domain2, coeffs: np.ndarray, phases_p=None, phases_q=None) -> AnalyticField:

@@ -43,9 +43,6 @@ class FunctionalVector:
         if all(v == 0 for v in vals):
             raise PreconditionError("functional weight vector must be non-zero")
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.v1, self.v2, self.v3, self.v4)
-
     # dihedral generators acting on the weight vector
     def A(self) -> "FunctionalVector":
         return FunctionalVector(self.v2, self.v1, self.v3, self.v4)
@@ -214,17 +211,6 @@ def squared_bracket_identity_check(F: JetField, G: JetField) -> dict:
     rel_err = abs(lhs - rhs) / scale
     return {"lhs": lhs, "rhs": rhs,
             "checks": {"identity": check(rel_err, DEFAULT_TOL_QUAD, "<=", "sampled")}}
-
-
-def zero_mean_check(F: JetField, G: JetField) -> dict:
-    """The mean of a Poisson bracket vanishes."""
-    dom = F.domain
-    vals = BracketField(F, G).values()
-    integral = dom.integrate(vals)
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    resid = abs(integral) / scale
-    return {"integral": integral,
-            "checks": {"zero_mean": check(resid, DEFAULT_TOL_QUAD, "<=", "sampled")}}
 
 
 def symmetry_check(

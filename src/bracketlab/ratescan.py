@@ -23,7 +23,7 @@ from .brackets import BracketField
 from .domain import Domain2
 from .jets import jet_sin
 from .errors import PreconditionError
-from .fields import AnalyticField, JetField, trig_polynomial, univariate_jet
+from .fields import JetField, ProfileField, trig_polynomial
 from .functionals import double_brackets, psi as psi_functional
 from .reporting import check
 
@@ -95,8 +95,7 @@ class ModulatedFamily:
         lam = float(np.exp(np.clip(x[0], -50.0, 50.0)))
         phase, frac = float(x[1]), _clip_frac(x[2])
         amp = frac * eps / self.a_norm
-        U = AnalyticField(F.domain, lambda jp, jq: univariate_jet(self.u_fn, jp, "p"))
-        A = AnalyticField(F.domain, lambda jp, jq: univariate_jet(self.a_fn, jq, "q"))
+        U, A = ProfileField(F.domain, self.u_fn, "p"), ProfileField(F.domain, self.a_fn, "q")
         return F + (A * U.map(lambda b: jet_sin(b.scale(lam) + phase))) * amp, G
 
 

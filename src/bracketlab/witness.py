@@ -17,20 +17,27 @@ uniform grid cannot resolve both, so 2-D evaluation happens on a window
 around [c1, c4] and everything outside the window is certified by the
 1-D pointwise bound |R| <= |w'|(1+|a|)^2 + |a' w|(|a|+1), which is the
 0.36-style tail estimate.
+
+Every field is built from functions of one variable: one ProfileField
+leaf per profile (u of p; v, w, a of q) and domain, so the fields on one
+window share their leaves, and a window pass evaluates each q profile
+once.  Derivatives of profiles, w' and a' in R and u' in u'^2, are
+d/dq and d/dp nodes over those leaves.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .brackets import BracketField
 from .domain import Domain2
 from .errors import CheckFailed, ConstructionError, PreconditionError
-from .fields import AnalyticField, DerivedField, JetField, univariate_jet, values_of
+from .fields import DerivedField, JetField, ProfileField, values_of
 from .jets import Jet2, jet_cos, jet_log, jet_sin
 from .piecewise import PiecewisePoly, build_profile, table_profile
 from .reporting import check
@@ -340,61 +347,84 @@ class WitnessFields:
     a: WitnessA
     neg_plateau_len: Fraction
     notes: dict = dc_field(default_factory=dict)
+    _leaves: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- domains -----------------------------------------------------------
 
-    def window_domain(self, n: int) -> Domain2:
+    @property
+    def window_q(self) -> tuple[float, float]:
+        """The window's q bounds, which do not depend on its grid size."""
         cfg = self.cfg
-        p0, p1 = -0.5, 13.5
-        q0 = float(cfg.c1 - cfg.window_margin)
-        q1 = float(cfg.c4 + cfg.window_margin)
-        return Domain2.rect(n, (p0, p1, q0, q1))
+        return float(cfg.c1 - cfg.window_margin), float(cfg.c4 + cfg.window_margin)
+
+    def window_domain(self, n: int) -> Domain2:
+        return Domain2.rect(n, (-0.5, 13.5, *self.window_q))
+
+    @cached_property
+    def w_axis(self) -> np.ndarray:
+        """The fine 1-D axis of w': 129 points on each of its pieces."""
+        return _fine_axis(self.w_prime)
+
+    @cached_property
+    def tail_bound(self) -> float:
+        """The pointwise bound |w'|(1+|a|)^2 + |a' w|(|a|+1) on |R| outside
+        the window, for every p and N, sampled on the fine 1-D axes of w' and
+        of the a tapers."""
+        q = np.unique(np.concatenate([self.w_axis, _fine_axis(self.a.left),
+                                      _fine_axis(self.a.right)]))
+        q0, q1 = self.window_q
+        qo = q[(q < q0) | (q > q1)]
+        if not qo.size:
+            return 0.0
+        wd = self.w.eval_derivs(qo, 1)
+        ad = self.a.eval_derivs(qo, 1)
+        tail = np.abs(wd[1]) * (1.0 + np.abs(ad[0])) ** 2 + np.abs(ad[1] * wd[0]) * (
+            np.abs(ad[0]) + 1.0
+        )
+        return float(tail.max())
 
     # -- fields ------------------------------------------------------------
 
-    def field_F(self, domain: Domain2) -> AnalyticField:
-        return AnalyticField(domain, lambda jp, jq: univariate_jet(self.u.eval_derivs, jp, "p"))
+    def _profile(self, domain: Domain2, name: str) -> ProfileField:
+        """The one leaf of profile `name` (u of p; v, w or a of q) on domain,
+        so the fields built on one domain share it."""
+        key = (domain, name)
+        if key not in self._leaves:
+            axis = "p" if name == "u" else "q"
+            self._leaves[key] = ProfileField(domain, getattr(self, name).eval_derivs, axis)
+        return self._leaves[key]
 
-    def field_G(self, domain: Domain2) -> AnalyticField:
-        return AnalyticField(
-            domain, lambda jp, jq: univariate_jet(self.v.eval_derivs, jq, "q").scale(-1.0)
-        )
+    def field_F(self, domain: Domain2) -> ProfileField:
+        return self._profile(domain, "u")
 
-    def field_FN(self, domain: Domain2, N: int) -> AnalyticField:
+    def field_G(self, domain: Domain2) -> DerivedField:
+        return -self._profile(domain, "v")
+
+    def field_FN(self, domain: Domain2, N: int) -> DerivedField:
         if N < 1:
             raise PreconditionError("N must be >= 1")
 
-        def build(jp: Jet2, jq: Jet2) -> Jet2:
-            uj = univariate_jet(self.u.eval_derivs, jp, "p")
-            aj = univariate_jet(self.a.eval_derivs, jq, "q")
+        def fn(uj: Jet2, aj: Jet2) -> Jet2:
             return uj + (aj * jet_sin(uj.scale(float(N)))).scale(1.0 / N)
 
-        return AnalyticField(domain, build)
+        return DerivedField(fn, self._profile(domain, "u"), self._profile(domain, "a"))
 
-    def field_R(self, domain: Domain2, N: int) -> AnalyticField:
-        def build(jp: Jet2, jq: Jet2) -> Jet2:
-            m = jp.order
-            ud = self.u.eval_derivs(jp.value, m)
-            uj = Jet2.from_univariate(ud, m, "p")
-            wd = self.w.eval_derivs(jq.value, m + 1)
-            wj = Jet2.from_univariate(wd[: m + 1], m, "q")
-            w1j = Jet2.from_univariate(wd[1:], m, "q")
-            ad = self.a.eval_derivs(jq.value, m + 1)
-            aj = Jet2.from_univariate(ad[: m + 1], m, "q")
-            a1j = Jet2.from_univariate(ad[1:], m, "q")
+    def field_R(self, domain: Domain2, N: int) -> DerivedField:
+        """R from the leaves of u, w and a; w' and a' are d/dq of the last
+        two, so the jets of R stop one order below theirs, at 3."""
+        U, W, A = (self._profile(domain, name) for name in "uwa")
+        W1, A1 = (DerivedField(Jet2.dq, X, lowers=1) for X in (W, A))
+
+        def fn(uj: Jet2, wj: Jet2, w1j: Jet2, aj: Jet2, a1j: Jet2) -> Jet2:
             cN = jet_cos(uj.scale(float(N)))
             lead = aj * cN + 1.0
             return w1j * lead * lead + a1j * wj * (aj + cN)
 
-        # R reads a' and w', so its order-m jet needs order m+1 of a, whose
-        # log core carries order 4
-        return AnalyticField(domain, build, max_order=3)
+        return DerivedField(fn, U, W, W1, A, A1)
 
-    def field_uprime_sq(self, domain: Domain2) -> AnalyticField:
-        return AnalyticField(
-            domain,
-            lambda jp, jq: (lambda j: j * j)(univariate_jet(self.u_prime.eval_derivs, jp, "p")),
-        )
+    def field_uprime_sq(self, domain: Domain2) -> DerivedField:
+        return DerivedField(lambda uj: (lambda d: d * d)(uj.dp()), self._profile(domain, "u"),
+                            lowers=1)
 
     # -- serialization -------------------------------------------------------
 
@@ -475,7 +505,7 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
     def smooth(poly):  # order-4 jets are continuous: the profiles are C^3 exactly
         return check(max(poly.junction_jumps(3)), 0, "==", "certified")
 
-    q = _fine_axis(fields.w_prime)
+    q = fields.w_axis
     wp = fields.w_prime.eval_derivs(q, 0)[0]
     wv = fields.w.eval_derivs(q, 0)[0]
     in_c23 = (q >= c2) & (q <= c3)
@@ -521,31 +551,6 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
 CHUNK_ROWS = 128
 
 
-class _AxisTable:
-    """A profile's derivatives, kept for the last array they were asked on.
-
-    A window pass hands every builder the same q row in every chunk, and
-    the same p column within a chunk, so each profile is evaluated once
-    per axis array, at the highest order asked so far; another array or a
-    higher order is evaluated afresh.  Lower orders are the same arrays:
-    eval_derivs computes each derivative on its own."""
-
-    def __init__(self, profile):
-        self.profile, self.x, self.derivs = profile, None, []
-
-    def eval_derivs(self, x, upto: int) -> list[np.ndarray]:
-        if x is not self.x or upto >= len(self.derivs):
-            self.x, self.derivs = x, self.profile.eval_derivs(x, upto)
-        return self.derivs[: upto + 1]
-
-
-def _tabled(fields: WitnessFields) -> WitnessFields:
-    """The construction with every profile read through an _AxisTable, for
-    the fields of one window pass."""
-    return replace(fields, **{k: _AxisTable(getattr(fields, k))
-                              for k in ("u", "u_prime", "v", "w", "a")})
-
-
 def _window_extrema(roots: list[JetField], dom: Domain2) -> list[tuple]:
     """(max, argmax, min, argmin) of each root's values on the window grid,
     as np.max, np.argmax, np.min and np.argmin of the whole n x n array
@@ -578,25 +583,6 @@ def _abs_max(hi, i_hi, lo, i_lo) -> tuple[float, int]:
     return float(abs(hi)), min(i_hi, i_lo)
 
 
-def _tail_bound(fields: WitnessFields, dom: Domain2) -> float:
-    """The pointwise bound |w'|(1+|a|)^2 + |a' w|(|a|+1) on |R| outside the
-    window, for every p and N, sampled on the fine 1-D axes of w' and of
-    the a tapers."""
-    q = _fine_axis(fields.w_prime)
-    extra = _fine_axis(fields.a.left)
-    q = np.unique(np.concatenate([q, extra, _fine_axis(fields.a.right)]))
-    q0, q1 = dom.bounds[2], dom.bounds[3]
-    qo = q[(q < q0) | (q > q1)]
-    if not qo.size:
-        return 0.0
-    wd = fields.w.eval_derivs(qo, 1)
-    ad = fields.a.eval_derivs(qo, 1)
-    tail = np.abs(wd[1]) * (1.0 + np.abs(ad[0])) ** 2 + np.abs(ad[1] * wd[0]) * (
-        np.abs(ad[0]) + 1.0
-    )
-    return float(tail.max())
-
-
 def r_field(fields: WitnessFields, N: int, n: int) -> dict:
     """Evaluate R on the 2-D window and check |R| <= 0.99 globally.
 
@@ -605,7 +591,7 @@ def r_field(fields: WitnessFields, N: int, n: int) -> dict:
     covers every (p, q) regardless of the oscillatory factor.
     """
     dom = fields.window_domain(n)
-    (ext,) = _window_extrema([_tabled(fields).field_R(dom, N)], dom)
+    (ext,) = _window_extrema([fields.field_R(dom, N)], dom)
     amax, k = _abs_max(*ext)
     p_axis, q_axis = dom.axes()
     return {
@@ -613,7 +599,7 @@ def r_field(fields: WitnessFields, N: int, n: int) -> dict:
         "worst_point": (float(p_axis[k // n]), float(q_axis[k % n])),
         "checks": {
             "max_abs_R_window": check(amax, R_BOUND, "<=", "sampled"),
-            "tail_bound_outside_window": check(_tail_bound(fields, dom), R_BOUND, "<=", "sampled"),
+            "tail_bound_outside_window": check(fields.tail_bound, R_BOUND, "<=", "sampled"),
         },
     }
 
@@ -628,18 +614,17 @@ def verify_oscillation_ratios(
     if not N_list:
         raise PreconditionError("N_list is empty: give at least one frequency N")
     dom = fields.window_domain(n)
-    tab = _tabled(fields)
-    F, G, uR = tab.field_F(dom), tab.field_G(dom), tab.field_uprime_sq(dom)
+    F, G, uR = fields.field_F(dom), fields.field_G(dom), fields.field_uprime_sq(dom)
     roots = [BracketField(BracketField(F, G), F)]
     for N in N_list:  # field_FN refuses N < 1
-        FN, R = tab.field_FN(dom, N), tab.field_R(dom, N)
+        FN, R = fields.field_FN(dom, N), fields.field_R(dom, N)
         DN = BracketField(BracketField(FN, G), FN)
         roots += [DN, DerivedField(operator.sub, DN, uR * R), R]
     (d0_max, _, d0_min, _), *per_N = _window_extrema(roots, dom)
     if d0_max <= 0 or d0_min >= 0:
         raise CheckFailed("unperturbed double bracket has degenerate extrema")
     d0_max, d0_min = float(d0_max), float(d0_min)
-    tail = _tail_bound(fields, dom)
+    tail = fields.tail_bound
 
     rows = []
     for k, N in enumerate(N_list):
@@ -727,11 +712,7 @@ def cutoff_witness(
         n, (plateau[0] - pad, plateau[1] + pad, plateau[2] - pad, plateau[3] + pad)
     )
 
-    phi = AnalyticField(
-        dom,
-        lambda jp, jq: univariate_jet(phi_p.eval_derivs, jp, "p")
-        * univariate_jet(phi_q.eval_derivs, jq, "q"),
-    )
+    phi = ProfileField(dom, phi_p.eval_derivs, "p") * ProfileField(dom, phi_q.eval_derivs, "q")
     F = fields.field_F(dom)
     G = fields.field_G(dom)
     phiF, phiG = phi * F, phi * G

@@ -317,10 +317,8 @@ def _ref_window_values(fields: list, dom) -> list[np.ndarray]:
     return out
 
 
-def _ref_r_report(wf, N: int, dom, vals: np.ndarray) -> dict:
-    amax = float(np.max(np.abs(vals)))
-    i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
-    p_axis, q_axis = dom.axes()
+def ref_tail_bound(wf, dom) -> float:
+    """The tail bound outside the window of dom, computed afresh."""
     q = witness._fine_axis(wf.w_prime)
     extra = witness._fine_axis(wf.a.left)
     q = np.unique(np.concatenate([q, extra, witness._fine_axis(wf.a.right)]))
@@ -330,7 +328,14 @@ def _ref_r_report(wf, N: int, dom, vals: np.ndarray) -> dict:
     tail = np.abs(wd[1]) * (1.0 + np.abs(ad[0])) ** 2 + np.abs(ad[1] * wd[0]) * (
         np.abs(ad[0]) + 1.0
     )
-    tail_bound = float(tail.max()) if qo.size else 0.0
+    return float(tail.max()) if qo.size else 0.0
+
+
+def _ref_r_report(wf, N: int, dom, vals: np.ndarray) -> dict:
+    amax = float(np.max(np.abs(vals)))
+    i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
+    p_axis, q_axis = dom.axes()
+    tail_bound = ref_tail_bound(wf, dom)
     return {
         "N": N,
         "worst_point": (float(p_axis[i]), float(q_axis[j])),

@@ -22,9 +22,7 @@ def test_zero_time_is_identity(torus128):
 def test_linear_flow_oracle():
     # H = p on a rectangle: sgrad p = (0, 1), so K o flow_t = f(q + t)
     dom = Domain2.rect(64, (-2, 2, -2, 2))
-    from bracketlab.fields import coordinate_p
-
-    H = coordinate_p(dom)
+    H = AnalyticField(dom, lambda jp, jq: jp)
     K = AnalyticField(dom, lambda jp, jq: jet_sin(jq))
     t = 0.5
     out = advect(H, K, t, 32)

@@ -7,13 +7,13 @@ from oracles import P_SYM, Q_SYM, sym_bracket, sym_grid_values
 from bracketlab.brackets import BracketField, BracketWord, iterated_bracket
 from bracketlab.domain import Domain2
 from bracketlab.errors import BoundsError, PreconditionError
-from bracketlab.fields import AnalyticField, coordinate_p, coordinate_q, sin_p, sin_q, trig_polynomial
+from bracketlab.fields import AnalyticField, sin_p, sin_q, trig_polynomial
 from bracketlab.jets import jet_sin
 
 
 def test_coordinate_bracket_is_minus_one():
     dom = Domain2.rect(64, (0, 1, 0, 1))
-    b = BracketField(coordinate_p(dom), coordinate_q(dom))
+    b = BracketField(AnalyticField(dom, lambda jp, jq: jp), AnalyticField(dom, lambda jp, jq: jq))
     assert np.allclose(b.values(), -1.0)
 
 

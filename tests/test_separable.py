@@ -72,16 +72,15 @@ def test_lh_check_on_trig_pair():
 
 def test_witness_window(wf):
     # 200 rows: one full 128-row chunk and one partial chunk; the chunked
-    # fields read their profiles through the window pass's tables
+    # fields share the profile leaves, which keep the q row between chunks
     dom = wf.window_domain(200)
     N = 1000
-    tab = witness._tabled(wf)
-    FN, G = tab.field_FN(dom, N), tab.field_G(dom)
+    FN, G = wf.field_FN(dom, N), wf.field_G(dom)
     D = BracketField(BracketField(FN, G), FN)
     FN_dense = Dense(wf.field_FN(dom, N))
     D_dense = BracketField(BracketField(FN_dense, Dense(wf.field_G(dom))), FN_dense).values()
     R_dense = Dense(wf.field_R(dom, N)).values()
-    chunked = [D, tab.field_R(dom, N)]
+    chunked = [D, wf.field_R(dom, N)]
     p, q = dom.coords()
     for i0 in range(0, dom.n, 128):
         D_rows, R_rows = values_of(chunked, (p[i0 : i0 + 128], q))

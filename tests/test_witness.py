@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 from bracketlab import witness
 from bracketlab.domain import Domain2
 from bracketlab.errors import ConstructionError, PreconditionError
-from bracketlab.fields import AnalyticField, values_of
+from bracketlab.fields import AnalyticField, ProfileField, values_of
 from bracketlab.jets import jet_sin
+from bracketlab.piecewise import PiecewisePoly
 from bracketlab.witness import (
     WitnessConfig,
     build_witness,
@@ -22,7 +24,7 @@ from bracketlab.witness import (
     r_max_abs,
     verify_oscillation_ratios,
 )
-from oracles import ref_r_field, ref_verify_oscillation_ratios
+from oracles import ref_r_field, ref_tail_bound, ref_verify_oscillation_ratios
 
 
 @pytest.fixture(scope="module")
@@ -257,18 +259,54 @@ def test_window_extrema_are_the_whole_window_reductions():
         assert witness._abs_max(*ext) == (np.max(np.abs(v)), np.argmax(np.abs(v)))
 
 
-def test_axis_table_serves_the_values_of_a_fresh_evaluation(fields):
-    # a lower order is served as a prefix of a higher-order evaluation; a
-    # higher order, or another array, is evaluated afresh
-    q = fields.window_domain(64).coords()[1]
-    tab = witness._tabled(fields)
-    for k in ("u", "u_prime", "v", "w", "a"):
-        profile, table = getattr(fields, k), getattr(tab, k)
-        for x, upto in ((q, 1), (q, 4), (q, 0), (q[..., ::-1], 2), (q, 2), (q, 3)):
-            got, want = table.eval_derivs(x, upto), profile.eval_derivs(x, upto)
-            assert len(got) == upto + 1, k
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w), k
+def test_profile_leaf_serves_the_jets_of_a_fresh_evaluation(fields):
+    # a lower order is served from the kept jet; a higher order, or another
+    # array, is evaluated afresh
+    dom = fields.window_domain(64)
+    p, q = dom.coords()
+    for name in ("u", "v", "w", "a"):
+        calls = []
+
+        def fn(x, m, profile=getattr(fields, name)):
+            calls.append(m)
+            return profile.eval_derivs(x, m)
+
+        axis = "p" if name == "u" else "q"
+        leaf = ProfileField(dom, fn, axis)
+        x = p if axis == "p" else q
+        for arr, order in ((x, 1), (x, 4), (x, 0), (x[::-1, ::-1], 2), (x, 2), (x, 3)):
+            pts = (arr, q) if axis == "p" else (p, arr)
+            got = leaf.jet(order, pts)
+            want = ProfileField(dom, getattr(fields, name).eval_derivs, axis).jet(order, pts)
+            assert got.order == order and got.coeffs.keys() == want.coeffs.keys(), name
+            for ij, c in want.coeffs.items():
+                assert np.array_equal(got.coeffs[ij], c), (name, ij)
+        assert calls == [1, 4, 2, 2, 3], name
+
+
+def test_q_profiles_are_evaluated_once_per_verify(fields, monkeypatch):
+    # n = 512 is four 128-row chunks; every chunk reads v, w and a on the
+    # same q row, which their leaves evaluate once
+    calls = []
+    for cls in (PiecewisePoly, witness.WitnessA):
+        def counted(self, x, upto, orig=cls.eval_derivs):
+            calls.append((self, np.shape(x)))
+            return orig(self, x, upto)
+
+        monkeypatch.setattr(cls, "eval_derivs", counted)
+    fresh = dataclasses.replace(fields)  # new leaves, bound to the counted methods
+    n = 512
+    for N_list in ((100,), (100, 1000, 10000)):
+        calls.clear()
+        verify_oscillation_ratios(fresh, N_list, n)
+        on_q = sorted(id(obj) for obj, shape in calls if shape == (1, n))
+        assert on_q == sorted(map(id, (fields.v, fields.w, fields.a))), N_list
+
+
+def test_tail_bound_is_the_per_call_bound(fields):
+    # the window's q bounds, and so the tail bound, do not depend on n
+    for n in (64, 2048):
+        assert fields.tail_bound == ref_tail_bound(fields, fields.window_domain(n))
 
 
 def test_verify_refuses_bad_N_before_evaluating(fields, monkeypatch):
