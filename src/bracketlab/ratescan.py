@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .brackets import BracketField
 from .domain import Domain2
@@ -152,6 +151,14 @@ class RandomFourierFamily:
 
 
 # -- search -----------------------------------------------------------------------
+
+
+def minimize(fun, x0, **options):
+    """scipy.optimize.minimize, imported on the first call: only a scan that
+    reaches its Nelder-Mead step pays for loading scipy.optimize."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
 
 
 def default_families(seed: int = 0, witness_fields=None) -> list:
