@@ -61,9 +61,13 @@ class OscillatoryFamily:
         phases = (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
         return [np.array([np.log(lam), pf, pf, 1.0]) for lam in lams for pf in phases]
 
+    def params(self, x) -> list[float]:
+        """[log lambda, phi_F, phi_G, frac] of the member that x names."""
+        return [float(np.clip(x[0], -50.0, 50.0)), float(x[1]), float(x[2]), _clip_frac(x[3])]
+
     def member(self, F: JetField, G: JetField, eps: float, x: np.ndarray):
-        lam = float(np.exp(np.clip(x[0], -50.0, 50.0)))
-        pf, pg, frac = float(x[1]), float(x[2]), _clip_frac(x[3])
+        log_lam, pf, pg, frac = self.params(x)
+        lam = float(np.exp(log_lam))
         amp = frac * eps
 
         def perturbed(X, phase):
@@ -90,9 +94,13 @@ class ModulatedFamily:
             for phase in (0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi)
         ]
 
+    def params(self, x) -> list[float]:
+        """[log lambda, phi, frac] of the member that x names."""
+        return [float(np.clip(x[0], -50.0, 50.0)), float(x[1]), _clip_frac(x[2])]
+
     def member(self, F: JetField, G: JetField, eps: float, x: np.ndarray):
-        lam = float(np.exp(np.clip(x[0], -50.0, 50.0)))
-        phase, frac = float(x[1]), _clip_frac(x[2])
+        log_lam, phase, frac = self.params(x)
+        lam = float(np.exp(log_lam))
         amp = frac * eps / self.a_norm
         U, A = ProfileField(F.domain, self.u_fn, "p"), ProfileField(F.domain, self.a_fn, "q")
         return F + (A * U.map(lambda b: jet_sin(b.scale(lam) + phase))) * amp, G
@@ -142,11 +150,15 @@ class RandomFourierFamily:
         guard = np.cos(np.pi * self.modes / n) ** 2
         return float(np.max(np.abs(vals))) / guard
 
+    def params(self, x) -> list[float]:
+        """[member index, frac] of the member that x names."""
+        return [float(int(round(x[0])) % self.n_members), _clip_frac(x[1])]
+
     def member(self, F: JetField, G: JetField, eps: float, x: np.ndarray):
-        index, frac = int(round(x[0])) % self.n_members, _clip_frac(x[1])
+        index, frac = self.params(x)
         return tuple(
             X + trig_polynomial(X.domain, c * (frac * eps / norm), ph[0], ph[1])
-            for X, (c, ph, norm) in zip((F, G), self._sample(index))
+            for X, (c, ph, norm) in zip((F, G), self._sample(int(index)))
         )
 
 
@@ -201,7 +213,8 @@ def phi_bar_upper(
     the eps-ball: coarse sweep over each family's parameter grid, then a
     Nelder-Mead refinement from the best sweep point.  Deterministic for
     a fixed seed.  With exact sups this would be an upper bound on the
-    perturbed infimum; grid maxima make it a sampled value."""
+    perturbed infimum; grid maxima make it a sampled value.  The reported
+    params are those of the evaluated member, as the family clamps them."""
     if eps < 0:
         raise PreconditionError("eps must be >= 0")
     if budget < 1:
@@ -258,7 +271,7 @@ def phi_bar_upper(
         "base": base_value,
         "decrease": base_value - float(best),
         "family": best_family.name if best_family is not None else None,
-        "params": None if best_x is None else [float(v) for v in best_x],
+        "params": None if best_x is None else best_family.params(best_x),
         "evals": evals,
         "warning": warning,
     }
