@@ -42,6 +42,27 @@ def test_unknown_command_exits_2():
     assert proc.returncode == 2
 
 
+def test_only_the_nelder_mead_step_loads_scipy_optimize(tmp_path):
+    # a fresh interpreter, so no other test has imported scipy yet
+    code = f"""
+import sys
+import bracketlab.cli
+assert "scipy" not in sys.modules, "import bracketlab.cli loaded scipy"
+for argv in (["bch", "--which", "3.2"], ["lh-check", "--trials", "2", "--n", "32"],
+             ["witness-verify", "--N-list", "100", "--grid-n", "64"]):
+    assert bracketlab.cli.main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0, argv
+    assert "scipy.optimize" not in sys.modules, argv
+from bracketlab.domain import Domain2
+from bracketlab.fields import sin_p, sin_q
+from bracketlab.ratescan import phi_bar_upper
+dom = Domain2.torus(32)
+phi_bar_upper(sin_p(dom), sin_q(dom), 1e-2, budget=60)
+assert "scipy.optimize" in sys.modules, "Nelder-Mead did not run"
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bch_32_passes(tmp_path):
     assert run_cli(["bch", "--which", "3.2", "-T", "5"], tmp_path) == 0
     payload = json.loads((tmp_path / "bch.json").read_text())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from bracketlab import ratescan
 from bracketlab.domain import Domain2
 from bracketlab.errors import PreconditionError
 from bracketlab.fields import AnalyticField, sin_p, sin_q
@@ -102,6 +103,37 @@ def test_random_fourier_norm_certificate(pair):
     fine = Domain2.torus(1024).grid()
     dev = np.max(np.abs(Fp.values(fine) - F.values(fine)))
     assert dev <= eps * (1 + 1e-9)
+
+
+def test_nelder_mead_runs_through_the_module_minimize(monkeypatch):
+    # tracing wraps ratescan.minimize, so the refinement must call it by that name
+    dom = Domain2.torus(32)
+    F, G = sin_p(dom), sin_q(dom)
+    plain = phi_bar_upper(F, G, 1e-2, budget=60)
+    scipy_minimize, methods = ratescan.minimize, []
+
+    def counting(fun, x0, **options):
+        methods.append(options["method"])
+        return scipy_minimize(fun, x0, **options)
+
+    monkeypatch.setattr(ratescan, "minimize", counting)
+    assert phi_bar_upper(F, G, 1e-2, budget=60) == plain
+    assert methods == ["Nelder-Mead"]
+
+
+@pytest.mark.parametrize("which", ["maxFG", "double"])
+def test_rows_report_the_member_that_was_evaluated(which):
+    # Nelder-Mead moves frac past 1; the row reports the clamped member
+    dom = Domain2.torus(32)
+    F, G = sin_p(dom), sin_q(dom)
+    families = {f.name: f for f in default_families(0)}
+    for eps in (1e-3, 1e-2, 1e-1):
+        row = phi_bar_upper(F, G, eps, which=which, families=list(families.values()),
+                            budget=60)
+        fam, x = families[row["family"]], np.array(row["params"])
+        assert fam.params(x) == row["params"]
+        assert row["params"][-1] <= 1.0
+        assert functional_value(which, *fam.member(F, G, eps, x)) == row["best"]
 
 
 def test_deterministic_under_seed(pair):
