@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundsError, PreconditionError
+from .errors import PreconditionError
 from .fields import DerivedField, JetField
 from .jets import poisson_jet
-
-MAX_BRACKET_LETTERS = 5  # order-4 jets support four derivative applications
 
 
 def BracketField(F: JetField, G: JetField) -> DerivedField:
@@ -34,10 +32,6 @@ class BracketWord:
 
     def __post_init__(self):
         _validate_tree(self.tree)
-
-    @property
-    def letter_count(self) -> int:
-        return _count(self.tree)
 
     @classmethod
     def parse(cls, text: str) -> "BracketWord":
@@ -70,12 +64,6 @@ def _validate_tree(tree) -> None:
     raise PreconditionError(f"malformed bracket word node: {tree!r}")
 
 
-def _count(tree) -> int:
-    if isinstance(tree, str):
-        return 1
-    return _count(tree[0]) + _count(tree[1])
-
-
 def _fmt(tree) -> str:
     if isinstance(tree, str):
         return tree
@@ -100,13 +88,9 @@ def _parse_expr(s: str):
 
 def iterated_bracket(word: BracketWord, F: JetField, G: JetField) -> JetField:
     """Evaluate a bracket word on a field pair by folding BracketField over
-    the nesting.  Letter count <= 5 keeps order-4 jets exact."""
-    if word.letter_count > MAX_BRACKET_LETTERS:
-        raise BoundsError(
-            f"bracket word has {word.letter_count} letters; jet order supports at most "
-            f"{MAX_BRACKET_LETTERS}"
-        )
-
+    the nesting.  Each bracket consumes one jet order, so the jets stay
+    exact up to nesting depth MAX_JET_ORDER; DerivedField refuses deeper
+    words with a BoundsError."""
     def build(tree):
         if tree == "F":
             return F

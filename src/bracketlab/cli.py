@@ -419,9 +419,9 @@ def cmd_rate_scan(o: dict):
     rows = [
         [r["eps"], r["best"], r["decrease"], r["family"] or "",
          "" if r["params"] is None else ";".join("%.17g" % v for v in r["params"])]
-        for r in rep.rows
+        for r in rep["rows"]
     ]
-    return rep.to_json(), (["eps", "best_phi", "decrease", "family", "params"], rows)
+    return rep, (["eps", "best_phi", "decrease", "family", "params"], rows)
 
 
 @command("bracket-eval", "evaluate an iterated bracket word to a CSV matrix",

@@ -86,9 +86,14 @@ class DerivedField(JetField):
             if p.domain != self.domain:
                 raise DomainMismatchError("operands live on different domains")
         self.fn, self.parents, self.lowers = fn, parents, lowers
-        self.max_order = min([p.max_order for p in parents]) - lowers
+        carried = min([p.max_order for p in parents])
+        self.max_order = carried - lowers
         if self.max_order < 0:
-            raise BoundsError("operands do not carry enough jet orders")
+            raise BoundsError(
+                f"expression nested too deep: its operands carry jet order {carried} and "
+                f"this node consumes {lowers}; leaves carry MAX_JET_ORDER = {MAX_JET_ORDER}, "
+                f"so brackets and derivatives nest at most {MAX_JET_ORDER} deep"
+            )
         kinds = {p.provenance for p in parents}
         self.provenance = kinds.pop() if len(kinds) == 1 else "sampled"
 

@@ -146,6 +146,8 @@ def kolmogorov_ratio(
     N-form: osc (ad_F)^N G and ratio osc * ||G||^{N-1} / ||{F,G}||^N.
     (k, m)-form: osc (ad_H)^m G with H = (ad_G)^k F and ratio
     osc * ||F||^{k m} ||G||^{m-1} / ||{F,G}||^{(k+1) m}.
+    The bracket nests N, or k + m, deep; past MAX_JET_ORDER the evaluator
+    refuses it with a BoundsError.
 
     The multiplicative constants these ratios would be compared against
     are not pinned down numerically anywhere we can check, so only the
@@ -162,8 +164,6 @@ def kolmogorov_ratio(
             raise PreconditionError("give N, or both k and m")
         if k < 0 or m < 1:
             raise PreconditionError(f"need k >= 0 and m >= 1, got k={k}, m={m}")
-        if (k + 1) * m > 4:
-            raise PreconditionError("(k+1)*m must be <= 4 for jet-exact evaluation")
         word = BracketWord.ad_power(m, BracketWord.ad_power(k, "G", "F").tree, "G")
     pvals, fvals, gvals, wvals = values_of(
         [BracketField(F, G), F, G, iterated_bracket(word, F, G)]

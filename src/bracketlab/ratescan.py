@@ -14,15 +14,13 @@ members guarantee strict decreases for the double-bracket functional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .brackets import BracketField
 from .domain import Domain2
 from .jets import jet_sin
 from .errors import PreconditionError
-from .fields import JetField, ProfileField, trig_polynomial
+from .fields import JetField, ProfileField, trig_polynomial, values_of
 from .functionals import double_brackets, psi as psi_functional
 from .reporting import check
 
@@ -193,11 +191,8 @@ def measure_feasibility(family, F: JetField, G: JetField, eps: float, x) -> floa
     """Measured sup deviation of a family member from (F, G); tests check
     this never exceeds eps."""
     Fp, Gp = family.member(F, G, eps, x)
-    dev = 0.0
-    for orig, new in ((F, Fp), (G, Gp)):
-        if new is not orig:
-            dev = max(dev, float(np.max(np.abs(new.values() - orig.values()))))
-    return dev
+    f, fp, g, gp = values_of([F, Fp, G, Gp])
+    return max(float(np.max(np.abs(fp - f))), float(np.max(np.abs(gp - g))))
 
 
 def phi_bar_upper(
@@ -303,33 +298,6 @@ def exponent_fit(points: list[tuple[float, float]]) -> dict:
     }
 
 
-@dataclass
-class RateScanReport:
-    which: str
-    seed: int
-    budget: int
-    grid_n: int
-    rows: list = dc_field(default_factory=list)
-    fit: dict = dc_field(default_factory=dict)
-    psi: float | None = None
-    checks: dict = dc_field(default_factory=dict)
-    metadata: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "which": self.which,
-            "seed": self.seed,
-            "budget": self.budget,
-            "grid_n": self.grid_n,
-            "rows": self.rows,
-            "fit": self.fit,
-            "psi": self.psi,
-            "checks": self.checks,
-            "reference_exponents": list(REFERENCE_EXPONENTS),
-            "metadata": self.metadata,
-        }
-
-
 def rate_report(
     F: JetField,
     G: JetField,
@@ -338,7 +306,7 @@ def rate_report(
     families: list | None = None,
     budget: int = 400,
     seed: int = 0,
-) -> RateScanReport:
+) -> dict:
     """Full pipeline: per-eps search, power-law fit, and the consistency
     annotations against the 2/3- and 1/3-law reference curves."""
     eps_grid = [float(e) for e in eps_grid]
@@ -384,23 +352,24 @@ def rate_report(
                 fit["exponent"], 1.0 / 3.0 - 0.05, ">=", "fitted")
         fit["observed_exponent_position"] = _position(fit["exponent"])
 
-    return RateScanReport(
-        which=which,
-        seed=seed,
-        budget=budget,
-        grid_n=F.domain.n,
-        rows=rows,
-        fit=fit,
-        psi=psi_val,
-        checks=checks,
-        metadata={
+    return {
+        "which": which,
+        "seed": seed,
+        "budget": budget,
+        "grid_n": F.domain.n,
+        "rows": rows,
+        "fit": fit,
+        "psi": psi_val,
+        "checks": checks,
+        "reference_exponents": list(REFERENCE_EXPONENTS),
+        "metadata": {
             "one_sided": "every best value and decrease is sampled at grid_n: a maximum "
             "over grid nodes is a lower bound on a member's sup, so neither bounds the "
             "perturbed infimum or the true decrease in a known direction",
             "family_design": "heuristic; oscillation scales seeded at eps^{-1/4..-1/2} "
             "plus O(1) soft-rescaling frequencies",
         },
-    )
+    }
 
 
 def _position(exponent: float) -> str:

@@ -340,8 +340,6 @@ class WitnessFields:
     cfg: WitnessConfig
     kappa: float
     u: PiecewisePoly
-    u_prime: PiecewisePoly
-    w_prime: PiecewisePoly
     w: PiecewisePoly
     v: PiecewisePoly
     a: WitnessA
@@ -363,7 +361,7 @@ class WitnessFields:
     @cached_property
     def w_axis(self) -> np.ndarray:
         """The fine 1-D axis of w': 129 points on each of its pieces."""
-        return _fine_axis(self.w_prime)
+        return _fine_axis(self.w)
 
     @cached_property
     def tail_bound(self) -> float:
@@ -438,8 +436,8 @@ class WitnessFields:
                 "neg_plateau_len": float(self.neg_plateau_len),
             },
             "notes": self.notes,
-            "u_prime": self.u_prime.to_json(),
-            "w_prime": self.w_prime.to_json(),
+            "u_prime": self.u.derivative().to_json(),
+            "w_prime": self.w.derivative().to_json(),
             "a_left_taper": self.a.left.to_json(),
             "a_right_taper": self.a.right.to_json(),
             "a_core": "a(c1) - 1.63 (ln w - ln w(c1)) on [c1, c4]",
@@ -450,8 +448,7 @@ def build_witness(cfg: WitnessConfig | None = None, check: bool = True) -> Witne
     """Construct all profiles and (optionally) certify every side condition."""
     cfg = cfg or WitnessConfig()
     kappa = kappa_search()
-    u_prime = _build_u_profile()
-    u = u_prime.antiderivative(Fraction(0))
+    u = _build_u_profile().antiderivative(Fraction(0))
     w_prime, neg_len = _build_w_profile(cfg)
     w = w_prime.antiderivative(Fraction(0))
     if w.integral() != 0:
@@ -462,8 +459,6 @@ def build_witness(cfg: WitnessConfig | None = None, check: bool = True) -> Witne
         cfg=cfg,
         kappa=kappa,
         u=u,
-        u_prime=u_prime,
-        w_prime=w_prime,
         w=w,
         v=v,
         a=a,
@@ -505,22 +500,18 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
     def smooth(poly):  # order-4 jets are continuous: the profiles are C^3 exactly
         return check(max(poly.junction_jumps(3)), 0, "==", "certified")
 
-    q = fields.w_axis
-    wp = fields.w_prime.eval_derivs(q, 0)[0]
-    wv = fields.w.eval_derivs(q, 0)[0]
+    q = fields.w_axis  # holds every knot of w, c2 and c3 among them
+    wv, wp = fields.w.eval_derivs(q, 1)
     in_c23 = (q >= c2) & (q <= c3)
     in_c14 = (q >= c1) & (q <= c4)
     pos_off_c23 = (q >= 0) & ~in_c23
     pos_off_c14 = (q >= 0) & ~in_c14
-    wc2 = fields.w_prime.eval_derivs(np.array([c2]), 0)[0][0]
-    wc3 = fields.w_prime.eval_derivs(np.array([c3]), 0)[0][0]
+    wc2, wc3 = wp[q == c2][0], wp[q == c3][0]
 
     av, ap = fields.a.eval_derivs(q, 1)
     lo, hi = float(cfg.a_start) - fields.kappa, float(cfg.a_start) + fields.kappa
-    core = q[in_c14]
-    wd = fields.w.eval_derivs(core, 1)
-    resid = np.abs(fields.a.eval_derivs(core, 1)[1] + float(GAMMA) * wd[1] / wd[0]).max()
-    up = fields.u_prime.eval_derivs(_fine_axis(fields.u_prime), 0)[0]
+    resid = np.abs(ap[in_c14] + float(GAMMA) * wp[in_c14] / wv[in_c14]).max()
+    up = fields.u.derivative()(_fine_axis(fields.u))
     return {
         "w_cond_i_max": sampled(wp[in_c23].max(), 1.0, "=="),
         "w_cond_i_min": sampled(wp[in_c23].min(), -1.0, "=="),
@@ -533,8 +524,8 @@ def check_witness_invariants(fields: WitnessFields) -> dict:
         "w_cond_v_global_slope_max": sampled(wp.max(), 1.0, "=="),
         "w_cond_v_global_slope_min": sampled(wp.min(), -1.0, "=="),
         "w_cond_vi_integral": check(fields.w.integral(), 0, "==", "certified"),
-        "w_c4_smooth": smooth(fields.w_prime),
-        "u_c4_smooth": smooth(fields.u_prime),
+        "w_c4_smooth": smooth(fields.w.derivative()),
+        "u_c4_smooth": smooth(fields.u.derivative()),
         "a_cond_ii_min": sampled(av[in_c14].min(), lo, ">="),
         "a_cond_ii_max": sampled(av[in_c14].max(), hi, "<="),
         "a_cond_iii_slope": sampled(np.abs(ap[pos_off_c14]).max(), 0.03, "<="),
@@ -552,35 +543,23 @@ CHUNK_ROWS = 128
 
 
 def _window_extrema(roots: list[JetField], dom: Domain2) -> list[tuple]:
-    """(max, argmax, min, argmin) of each root's values on the window grid,
-    as np.max, np.argmax, np.min and np.argmin of the whole n x n array
-    give them (first row-major index, NaN included).  The roots are
-    evaluated together on one 128-row chunk at a time, so a bracket tree's
-    n^2 temporaries stay chunk x n and no whole-window array is formed."""
+    """(max, min) of each root's values on the window grid, as np.max and
+    np.min of the whole n x n array give them (NaN included).  The roots
+    are evaluated together on one 128-row chunk at a time, so a bracket
+    tree's n^2 temporaries stay chunk x n and no whole-window array is
+    formed."""
     p, q = dom.coords()
-    n = dom.n
-    chunks = []  # per chunk, each root's extrema with indices into the window
-    for i0 in range(0, n, CHUNK_ROWS):
-        row = []
-        for v in values_of(roots, (p[i0 : i0 + CHUNK_ROWS], q)):
-            hi, lo = int(v.argmax()), int(v.argmin())
-            row.append((v.flat[hi], i0 * n + hi, v.flat[lo], i0 * n + lo))
-        chunks.append(row)
-    out = []
-    for per_chunk in zip(*chunks):  # one root, chunk by chunk
-        hi = per_chunk[int(np.argmax([s[0] for s in per_chunk]))]  # the first chunk to hold it
-        lo = per_chunk[int(np.argmin([s[2] for s in per_chunk]))]
-        out.append(hi[:2] + lo[2:])
-    return out
+    chunks = [  # per chunk, each root's extrema
+        [(v.max(), v.min()) for v in values_of(roots, (p[i0 : i0 + CHUNK_ROWS], q))]
+        for i0 in range(0, dom.n, CHUNK_ROWS)
+    ]
+    return [(np.max([s[0] for s in per_chunk]), np.min([s[1] for s in per_chunk]))
+            for per_chunk in zip(*chunks)]  # one root, chunk by chunk
 
 
-def _abs_max(hi, i_hi, lo, i_lo) -> tuple[float, int]:
-    """max |x| and its first row-major index, from x's _window_extrema."""
-    if abs(lo) > abs(hi):
-        return float(abs(lo)), i_lo
-    if abs(hi) > abs(lo):
-        return float(abs(hi)), i_hi
-    return float(abs(hi)), min(i_hi, i_lo)
+def _abs_max(hi, lo) -> float:
+    """max |x| from x's _window_extrema."""
+    return float(max(abs(hi), abs(lo)))
 
 
 def r_field(fields: WitnessFields, N: int, n: int) -> dict:
@@ -592,13 +571,10 @@ def r_field(fields: WitnessFields, N: int, n: int) -> dict:
     """
     dom = fields.window_domain(n)
     (ext,) = _window_extrema([fields.field_R(dom, N)], dom)
-    amax, k = _abs_max(*ext)
-    p_axis, q_axis = dom.axes()
     return {
         "N": N,
-        "worst_point": (float(p_axis[k // n]), float(q_axis[k % n])),
         "checks": {
-            "max_abs_R_window": check(amax, R_BOUND, "<=", "sampled"),
+            "max_abs_R_window": check(_abs_max(*ext), R_BOUND, "<=", "sampled"),
             "tail_bound_outside_window": check(fields.tail_bound, R_BOUND, "<=", "sampled"),
         },
     }
@@ -620,7 +596,7 @@ def verify_oscillation_ratios(
         FN, R = fields.field_FN(dom, N), fields.field_R(dom, N)
         DN = BracketField(BracketField(FN, G), FN)
         roots += [DN, DerivedField(operator.sub, DN, uR * R), R]
-    (d0_max, _, d0_min, _), *per_N = _window_extrema(roots, dom)
+    (d0_max, d0_min), *per_N = _window_extrema(roots, dom)
     if d0_max <= 0 or d0_min >= 0:
         raise CheckFailed("unperturbed double bracket has degenerate extrema")
     d0_max, d0_min = float(d0_max), float(d0_min)
@@ -629,15 +605,15 @@ def verify_oscillation_ratios(
     rows = []
     for k, N in enumerate(N_list):
         dn, res, r = per_N[3 * k : 3 * k + 3]
-        resid = _abs_max(*res)[0]
+        resid = _abs_max(*res)
         rows.append(
             {
                 "N": N,
                 "ratio_max": float(dn[0]) / d0_max,
-                "ratio_min": float(dn[2]) / d0_min,
+                "ratio_min": float(dn[1]) / d0_min,
                 "residual": resid,
                 "residual_times_N": resid * N,
-                "maxR": max(_abs_max(*r)[0], tail),
+                "maxR": max(_abs_max(*r), tail),
             }
         )
     ratios = [max(row["ratio_max"], row["ratio_min"]) for row in rows]
@@ -690,8 +666,8 @@ def cutoff_witness(
     """
     cfg = fields.cfg
     I = (0.0, 13.0)  # supp u
-    qlo = float(min(fields.w_prime.support[0], fields.a.left.support[0]))
-    qhi = float(max(fields.w_prime.support[1], fields.a.right.support[1]))
+    qlo = float(min(fields.w.support[0], fields.a.left.support[0]))
+    qhi = float(max(fields.w.support[1], fields.a.right.support[1]))
     J = (qlo, qhi)
     if margin <= 0:
         raise PreconditionError("cutoff needs a positive taper margin")

@@ -319,7 +319,7 @@ def _ref_window_values(fields: list, dom) -> list[np.ndarray]:
 
 def ref_tail_bound(wf, dom) -> float:
     """The tail bound outside the window of dom, computed afresh."""
-    q = witness._fine_axis(wf.w_prime)
+    q = witness._fine_axis(wf.w)
     extra = witness._fine_axis(wf.a.left)
     q = np.unique(np.concatenate([q, extra, witness._fine_axis(wf.a.right)]))
     qo = q[(q < dom.bounds[2]) | (q > dom.bounds[3])]
@@ -333,12 +333,9 @@ def ref_tail_bound(wf, dom) -> float:
 
 def _ref_r_report(wf, N: int, dom, vals: np.ndarray) -> dict:
     amax = float(np.max(np.abs(vals)))
-    i, j = np.unravel_index(int(np.argmax(np.abs(vals))), vals.shape)
-    p_axis, q_axis = dom.axes()
     tail_bound = ref_tail_bound(wf, dom)
     return {
         "N": N,
-        "worst_point": (float(p_axis[i]), float(q_axis[j])),
         "checks": {
             "max_abs_R_window": check(amax, witness.R_BOUND, "<=", "sampled"),
             "tail_bound_outside_window": check(tail_bound, witness.R_BOUND, "<=", "sampled"),

@@ -184,19 +184,19 @@ def test_criterion_10_rate_scan():
         eps_grid = np.logspace(-4, -1, 10)
 
         rep = rate_report(F, G, eps_grid, which="maxFG", budget=200, seed=0)
-        psi13 = rep.psi ** (1.0 / 3.0)
-        for row in rep.rows:
+        psi13 = rep["psi"] ** (1.0 / 3.0)
+        for row in rep["rows"]:
             assert row["decrease"] > 0.0, f"no strict decrease at eps={row['eps']}"
             assert row["decrease"] <= 5.0 * psi13 * row["eps"] ** (2.0 / 3.0)
-        assert rep.fit["exponent"] >= 0.55
+        assert rep["fit"]["exponent"] >= 0.55
 
         rep2 = rate_report(F, G, eps_grid, which="double", budget=120, seed=0)
-        pos = [(r["eps"], r["decrease"]) for r in rep2.rows if r["decrease"] > 0]
+        pos = [(r["eps"], r["decrease"]) for r in rep2["rows"] if r["decrease"] > 0]
         assert len(pos) >= 3
         # the C13 envelope is fitted to these same rows, so it is reported, not checked
-        assert "decreases_below_C13_eps13" not in rep2.checks
-        assert rep2.fit["C13_envelope"] == max(d / e ** (1.0 / 3.0) for e, d in pos)
-        assert "residual" in rep2.fit
+        assert "decreases_below_C13_eps13" not in rep2["checks"]
+        assert rep2["fit"]["C13_envelope"] == max(d / e ** (1.0 / 3.0) for e, d in pos)
+        assert "residual" in rep2["fit"]
 
         # determinism under seed 0 at one grid point
         a = phi_bar_upper(F, G, 1e-2, which="maxFG", budget=60, seed=0)

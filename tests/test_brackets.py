@@ -47,7 +47,12 @@ def test_double_bracket_examples(torus256):
 
 @pytest.mark.parametrize(
     "word",
-    ["{F,G}", "{{F,G},F}", "{{F,G},G}", "{{{F,G},F},F}", "{{{F,G},G},G}", "{{{F,G},F},G}"],
+    [
+        "{F,G}", "{{F,G},F}", "{{F,G},G}", "{{{F,G},F},F}", "{{{F,G},G},G}", "{{{F,G},F},G}",
+        # depth 3 with six and seven letters: exactness goes by depth, not letters
+        "{{{F,G},F},{{F,G},G}}", "{{{F,G},{F,G}},{{F,G},F}}",
+        "{{G,{{F,G},G}},{{F,G},G}}",  # (ad_H)^2 G with H = (ad_G)^2 F: depth 4
+    ],
 )
 def test_iterated_brackets_match_sympy(word, torus128):
     fe = sp.sin(P_SYM) + sp.Rational(1, 2) * sp.cos(2 * P_SYM) * sp.sin(Q_SYM)
@@ -81,7 +86,6 @@ def test_iterated_brackets_match_sympy(word, torus128):
 def test_bracket_word_api():
     w = BracketWord.parse("{{F,G},F}")
     assert str(w) == "{{F,G},F}"
-    assert w.letter_count == 3
     ad2 = BracketWord.ad_power(2, "F", "G")
     assert str(ad2) == "{{G,F},F}"
     with pytest.raises(PreconditionError):
@@ -90,10 +94,11 @@ def test_bracket_word_api():
         BracketWord.parse("{F,H}")
 
 
-def test_letter_count_cap(sin_pair):
+def test_nesting_depth_cap(sin_pair):
     F, G = sin_pair
-    too_deep = BracketWord.ad_power(5, "F", "G")  # six letters
-    with pytest.raises(BoundsError):
+    iterated_bracket(BracketWord.ad_power(4, "F", "G"), F, G)  # depth 4
+    too_deep = BracketWord.ad_power(5, "F", "G")  # depth 5
+    with pytest.raises(BoundsError, match="jet order 0 .* MAX_JET_ORDER = 4"):
         iterated_bracket(too_deep, F, G)
 
 

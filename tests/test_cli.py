@@ -412,6 +412,18 @@ def test_kolmogorov_iterated_form_cli(tmp_path):
     assert payload["config"]["N"] is None
 
 
+@pytest.mark.parametrize("args", [
+    ["kolmogorov", "--N", "5"],
+    ["kolmogorov", "--k", "2", "--m", "3"],
+    ["bracket-eval", "--word", "{{{{{F,G},F},F},F},F}"],
+], ids=" ".join)
+def test_nesting_past_the_jet_order_exits_2(tmp_path, capsys, args):
+    assert run_cli(args + ["--n", "32"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "nested too deep" in err and "MAX_JET_ORDER = 4" in err
+    assert not (tmp_path / f"{args[0]}.json").exists()
+
+
 def test_functional_reports_carry_value_grid_checks(tmp_path):
     for args, name in [
         (["lh-check", "--n", "64"], "lh-check"),
@@ -478,6 +490,7 @@ PINNED_RUNS = [
     ["symmetry", "--element", "all", "--n", "64"],
     ["kolmogorov", "--N", "2", "--n", "64"],
     ["kolmogorov", "--k", "1", "--m", "2", "--n", "64"],
+    ["kolmogorov", "--k", "2", "--m", "2", "--n", "64"],
 ]
 
 

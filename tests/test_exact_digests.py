@@ -30,8 +30,8 @@ def _digest(obj) -> str:
 def test_witness_profiles_are_pinned():
     fields = witness.build_witness(check=False)
     profiles = {
-        "u_prime": fields.u_prime,
-        "w_prime": fields.w_prime,
+        "u_prime": fields.u.derivative(),
+        "w_prime": fields.w.derivative(),
         "a_left_taper": fields.a.left,
         "a_right_taper": fields.a.right,
         "plateau_bump(-3, 4, 5)": witness.plateau_bump(-3, 4, 5),

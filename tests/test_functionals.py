@@ -9,7 +9,7 @@ import pytest
 import bracketlab
 from bracketlab.brackets import BracketField
 from bracketlab.domain import Domain2
-from bracketlab.errors import PreconditionError
+from bracketlab.errors import BoundsError, PreconditionError
 from bracketlab.fields import AnalyticField, sin_p, sin_q, trig_polynomial, zero_field
 from bracketlab.functionals import (
     FunctionalVector,
@@ -138,8 +138,9 @@ def test_kolmogorov_preconditions(torus128):
     with pytest.raises(PreconditionError):
         kolmogorov_ratio(F, G, N=2)
     F2, G2 = sin_p(torus128), sin_q(torus128)
-    with pytest.raises(PreconditionError):
-        kolmogorov_ratio(F2, G2, k=2, m=2)  # (k+1)m = 6 > 4
+    assert kolmogorov_ratio(F2, G2, k=2, m=2)["osc_value"] > 0  # nested k + m = 4 deep
+    with pytest.raises(BoundsError):
+        kolmogorov_ratio(F2, G2, k=2, m=3)  # 5 deep
     for bad in ({"N": 0}, {"k": -1, "m": 1}, {"k": 1, "m": 0}, {"k": 1}, {"N": 1, "m": 1}):
         with pytest.raises(PreconditionError):
             kolmogorov_ratio(F2, G2, **bad)

@@ -158,10 +158,10 @@ def test_rate_report_requires_two_decades(pair):
 def test_rate_report_maxfg_checks(pair):
     F, G = pair
     rep = rate_report(F, G, np.logspace(-3, -1, 5), which="maxFG", budget=60, seed=0)
-    assert rep.checks["strict_decrease_everywhere"]["pass"]
-    assert rep.checks["decreases_below_5_psi13_eps23"]["pass"]
-    assert rep.psi == pytest.approx(2.0, abs=1e-9)
-    assert rep.metadata["one_sided"].startswith("every best value")
+    assert rep["checks"]["strict_decrease_everywhere"]["pass"]
+    assert rep["checks"]["decreases_below_5_psi13_eps23"]["pass"]
+    assert rep["psi"] == pytest.approx(2.0, abs=1e-9)
+    assert rep["metadata"]["one_sided"].startswith("every best value")
 
 
 def test_rate_report_builds_the_families_once(monkeypatch):
@@ -179,10 +179,10 @@ def test_rate_report_commuting_pair_flags_psi_zero():
     F = sin_p(dom)
     G = AnalyticField(dom, lambda jp, jq: jet_cos(jp))
     rep = rate_report(F, G, np.logspace(-3, -1, 5), which="maxFG", budget=40, seed=0)
-    assert rep.fit.get("psi_zero") and rep.fit.get("two_thirds_reference_skipped")
+    assert rep["fit"].get("psi_zero") and rep["fit"].get("two_thirds_reference_skipped")
     # a degenerate pair is reported with the same one-sidedness statement
     full = rate_report(sin_p(dom), sin_q(dom), np.logspace(-3, -1, 5), budget=40, seed=0)
-    assert "exponent" in full.fit and rep.metadata == full.metadata
+    assert "exponent" in full["fit"] and rep["metadata"] == full["metadata"]
 
 
 def test_double_functional_decreases_found(pair):
@@ -222,9 +222,9 @@ def test_witness_pair_double_rate_report():
         F, G, np.logspace(-3, -1, 5), which="double", families=fams, budget=50, seed=0
     )
     # upper-bound decreases must stay consistent with a 1/3-power envelope
-    pos = [(r["eps"], r["decrease"]) for r in rep.rows if r["decrease"] > 0]
+    pos = [(r["eps"], r["decrease"]) for r in rep["rows"] if r["decrease"] > 0]
     assert len(pos) >= 3
-    assert rep.fit["exponent"] >= 1.0 / 3.0 - 0.05
+    assert rep["fit"]["exponent"] >= 1.0 / 3.0 - 0.05
 
 
 def test_random_fourier_bound_covers_every_refined_sup():

@@ -86,12 +86,8 @@ def test_witness_window(wf):
         D_rows, R_rows = values_of(chunked, (p[i0 : i0 + 128], q))
         assert np.array_equal(D_rows, D_dense[i0 : i0 + 128])
         assert np.array_equal(R_rows, R_dense[i0 : i0 + 128])
-    want = [(v.max(), v.argmax(), v.min(), v.argmin()) for v in (D_dense, R_dense)]
+    want = [(v.max(), v.min()) for v in (D_dense, R_dense)]
     assert witness._window_extrema(chunked, dom) == want
-    P, Q = dom.grid()
-    flat = int(np.argmax(np.abs(R_dense)))
-    rep = witness.r_field(wf, N, n=200)
-    assert rep["worst_point"] == (float(P.flat[flat]), float(Q.flat[flat]))
 
 
 def test_rate_scan_members(wf):

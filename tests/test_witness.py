@@ -255,8 +255,8 @@ def test_window_extrema_are_the_whole_window_reductions():
     ]
     got = witness._window_extrema(roots, dom)
     for v, ext in zip(values_of(roots), got):
-        assert ext == (v.max(), v.argmax(), v.min(), v.argmin())
-        assert witness._abs_max(*ext) == (np.max(np.abs(v)), np.argmax(np.abs(v)))
+        assert ext == (v.max(), v.min())
+        assert witness._abs_max(*ext) == np.max(np.abs(v))
 
 
 def test_profile_leaf_serves_the_jets_of_a_fresh_evaluation(fields):
